@@ -4,6 +4,8 @@
 // that reports how fast the whole DES executes on the host.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "common/metrics.h"
 #include "common/report.h"
 #include "core/cluster.h"
@@ -163,6 +165,35 @@ void BM_EventQueue_PushCancelChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_EventQueue_PushCancelChurn);
+
+// RPC-timeout churn: a steady live set of near events plus one far-deadline
+// timeout per step, nine in ten of them cancelled a few steps later (the
+// response arrived). Unlike PushCancelChurn, the cancelled timers lie far
+// beyond the live window, so lazy reaping alone lets them pile up in the
+// heap until their deadline reaches the root.
+void BM_EventQueue_TimeoutChurn(benchmark::State& state) {
+  constexpr SimTime kDeadline = 20'000;
+  constexpr SimTime kLiveWindow = 256;
+  constexpr uint32_t kTimeoutLane = 2; // near events use push()'s lane 1
+  EventQueue q;
+  for (SimTime t = 0; t < kLiveWindow; ++t) q.push(t, []() {});
+  std::array<EventId, 16> awaiting{}; // timeouts whose response is in flight
+  uint32_t timeout_seq = 0;
+  uint64_t step = 0;
+  for (auto _ : state) {
+    EventQueue::Fired f = q.pop();
+    if ((f.key >> 32) == kTimeoutLane) continue; // an uncancelled one expired
+    EventId& pending = awaiting[step % awaiting.size()];
+    if (pending != 0 && step % 10 != 0) q.cancel(pending);
+    pending = q.push_keyed(f.time + kDeadline,
+                           make_event_key(kTimeoutLane, timeout_seq++),
+                           []() {});
+    q.push(f.time + kLiveWindow, []() {});
+    ++step;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueue_TimeoutChurn);
 
 // One envelope through the transport: send() -> latency event -> handler.
 void BM_Network_SendDeliver(benchmark::State& state) {

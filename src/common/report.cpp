@@ -273,8 +273,10 @@ void write_time_series(JsonWriter& w, const TimeSeriesData& s) {
 // ----------------------------------------------------------------- RunReport
 
 RunReport::Run& RunReport::add_run(std::string label, const Config& cfg) {
-  runs_.push_back(Run{std::move(label), cfg, {}, {}, {}});
-  return runs_.back();
+  Run& run = runs_.emplace_back();
+  run.label = std::move(label);
+  run.cfg = cfg;
+  return run;
 }
 
 void RunReport::capture_counters(Run& run, const Metrics& m) {

@@ -42,11 +42,12 @@ void FailureDetector::start() {
   if (running_) return;
   running_ = true;
   ++epoch_;
-  misses_.clear();
+  const auto n = static_cast<size_t>(env_.cfg->n_sites);
+  misses_.assign(n, 0);
   declaring_.clear();
   for (const auto& [s, span] : verifying_) SpanLog::close(env_.spans, span);
   verifying_.clear();
-  last_pong_.clear();
+  last_pong_.assign(n, kNoTime);
   started_at_ = env_.sched->now(); // silence is measured from here at first
   declare_inflight_ = false;
   const uint64_t epoch = epoch_;
@@ -90,7 +91,7 @@ void FailureDetector::tick() {
       // While a site is nominally down we stop pinging it, so keep its
       // proof-of-life fresh artificially: when it re-integrates it starts
       // with a clean silence clock instead of an ancient last pong.
-      last_pong_[s] = env_.sched->now();
+      last_pong_[static_cast<size_t>(s)] = env_.sched->now();
       continue;
     }
     if (declaring_.count(s)) continue;
@@ -98,16 +99,17 @@ void FailureDetector::tick() {
         s, Ping{}, env_.cfg->rpc_timeout,
         [this, s, epoch](Code code, const Payload*) {
           if (epoch != epoch_ || !running_) return;
+          const auto i = static_cast<size_t>(s);
           if (code == Code::kOk) {
-            misses_[s] = 0;
-            last_pong_[s] = env_.sched->now();
+            misses_[i] = 0;
+            last_pong_[i] = env_.sched->now();
             return;
           }
           // Two missed periodic pings arouse suspicion; certainty (the
           // paper's precondition for a type-2) takes a burst of
           // consecutive timeouts -- on a lossy transport two lost pings
           // do not prove death.
-          if (++misses_[s] >= kMissesToDeclare) begin_verify(s, 3);
+          if (++misses_[i] >= kMissesToDeclare) begin_verify(s, 3);
         });
   }
   env_.sched->after(jittered_interval(), [this, epoch]() {
@@ -200,9 +202,10 @@ void FailureDetector::verify(SiteId s, int attempts_left) {
       s, Ping{}, env_.cfg->rpc_timeout,
       [this, s, attempts_left, epoch](Code code, const Payload*) {
         if (epoch != epoch_ || !running_) return;
+        const auto i = static_cast<size_t>(s);
         if (code == Code::kOk) {
-          misses_[s] = 0;
-          last_pong_[s] = env_.sched->now();
+          misses_[i] = 0;
+          last_pong_[i] = env_.sched->now();
           resolve_verify(s); // chain resolved: alive after all
           return;
         }
@@ -211,10 +214,9 @@ void FailureDetector::verify(SiteId s, int attempts_left) {
           return;
         }
         resolve_verify(s); // chain resolved
-        SimTime last_alive = started_at_;
-        if (const auto pong = last_pong_.find(s); pong != last_pong_.end()) {
-          last_alive = std::max(last_alive, pong->second);
-        }
+        // kNoTime (no pong yet) is the minimum SimTime, so this falls back
+        // to started_at_.
+        const SimTime last_alive = std::max(started_at_, last_pong_[i]);
         if (env_.sched->now() - last_alive <
             kSilenceToDeclare * env_.cfg->detector_interval) {
           // The site answered a ping recently: alive, the chain's timeouts
@@ -233,8 +235,9 @@ void FailureDetector::declare(SiteId s) {
   // dead sites a single-site declaration would keep timing out on the
   // other one (it is still in the local NS view and thus a write target).
   std::vector<SiteId> down{s};
-  for (const auto& [other, misses] : misses_) {
-    if (other != s && misses >= kMissesToDeclare && !declaring_.count(other)) {
+  for (SiteId other = 0; other < env_.cfg->n_sites; ++other) {
+    if (other != s && misses_[static_cast<size_t>(other)] >= kMissesToDeclare &&
+        !declaring_.count(other)) {
       down.push_back(other);
     }
   }
@@ -245,7 +248,7 @@ void FailureDetector::run_declare(std::vector<SiteId> down, int attempt) {
   declare_inflight_ = true;
   for (SiteId d : down) {
     declaring_.insert(d);
-    misses_[d] = 0;
+    misses_[static_cast<size_t>(d)] = 0;
   }
   env_.metrics->inc(env_.metrics->id.fd_declared_down);
   // One event per declared site (a = site, b = batch size) so per-site

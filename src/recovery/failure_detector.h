@@ -11,6 +11,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "txn/transaction_manager.h"
@@ -55,7 +56,8 @@ class FailureDetector {
   TransactionManager& tm_;
   bool running_ = false;
   uint64_t epoch_ = 0;
-  std::map<SiteId, int> misses_;
+  // Consecutive missed periodic pings, indexed by SiteId (sized in start()).
+  std::vector<int> misses_;
   std::set<SiteId> declaring_;
   // Sites with a verify chain in flight, mapped to the chain's causal
   // span (0 when span tracing is off). Without this guard every further
@@ -68,8 +70,9 @@ class FailureDetector {
   // three timeouts still refuses to declare unless the site has also been
   // silent for a multiple of the detector interval: the paper requires
   // the initiator to be *sure*, and on a lossy transport a recent pong is
-  // proof of life while prolonged total silence is death.
-  std::map<SiteId, SimTime> last_pong_;
+  // proof of life while prolonged total silence is death. Indexed by
+  // SiteId; kNoTime until the first pong.
+  std::vector<SimTime> last_pong_;
   SimTime started_at_ = 0; // silence reference before any pong arrives
   // At most one type-2 in flight per initiator: concurrent declarations
   // from one site deadlock with each other on the NS locks; suspects that

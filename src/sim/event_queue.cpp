@@ -2,6 +2,21 @@
 
 namespace ddbs {
 
+void EventQueue::compact() {
+  size_t kept = 0;
+  for (const HeapEntry& e : heap_) {
+    if (slot(e.slot).live) {
+      heap_[kept++] = e;
+    } else {
+      free_slot(e.slot);
+    }
+  }
+  heap_.resize(kept);
+  // Floyd's bottom-up heapify: sift down every parent, last one first.
+  if (kept < 2) return;
+  for (size_t i = (kept - 2) / 4 + 1; i-- > 0;) sift_down(i);
+}
+
 void EventQueue::sift_up(size_t i) {
   HeapEntry e = heap_[i];
   while (i > 0) {

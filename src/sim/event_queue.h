@@ -1,15 +1,26 @@
 // Priority queue of timestamped events with stable FIFO ordering for equal
-// timestamps and O(1) cancellation.
+// timestamps and O(1) amortised cancellation.
 //
 // Layout: a 4-ary implicit heap of 24-byte {time, key, slot} entries over a
 // generation-stamped slot slab that owns the callables. An EventId packs
 // (slot generation << 32 | slot index), so cancel() is a bounds check plus
-// a generation compare -- no hashing, no tombstone map. A cancelled slot's
-// heap entry stays behind and is discarded lazily when it surfaces; the
-// slot itself is recycled (generation bumped) only at that point, so a
-// stale entry can never fire a reused slot.
+// a generation compare -- no hashing, no tombstone map.
 //
-// The slab is chunked (256 slots per chunk) so growth never move-relocates
+// Cancellation is lazy: cancel() kills the slot (bumps its generation,
+// drops the callable) but leaves its heap entry behind, and pop() /
+// next_time() discard dead entries when they surface at the root. A dead
+// entry's slot is recycled only when the entry leaves the heap, so a stale
+// entry can never fire a reused slot. Almost every timer the protocol arms
+// (RPC timeouts, 2PC and lock-wait deadlines) is cancelled long before it
+// would surface, so on its own lazy reaping lets the heap grow to tens of
+// times the live set. cancel() therefore compacts the heap once dead
+// entries dominate it: the dead entries are dropped (their slots recycled)
+// and the survivors re-heapified bottom-up. The pop order is the unique
+// (time, key) order whatever the heap's shape, so compaction is invisible
+// to callers; each compaction removes at least 3/4 of the heap as dead
+// entries, so its cost is O(1) amortised per cancel.
+//
+// The slab is chunked (64 slots per chunk) so growth never move-relocates
 // a stored callable -- with a flat vector the InlineFn relocation per grow
 // was ~20% of push/pop cost. The tie-break key's low half is a 32-bit
 // counter with wraparound-aware comparison: ties only matter between events
@@ -82,16 +93,22 @@ class EventQueue {
     Slot& s = slot(idx);
     if (!s.live || s.gen != gen) return false;
     // The heap entry stays; drop_dead() reaps it (and recycles the slot)
-    // when it reaches the root.
+    // when it reaches the root, or compact() when dead entries dominate.
     s.live = false;
     s.gen++; // invalidate the id immediately
     s.fn.reset();
     --live_;
+    if (heap_.size() > kCompactMinEntries &&
+        heap_.size() > kCompactRatio * live_) {
+      compact();
+    }
     return true;
   }
 
   bool empty() const { return live_ == 0; }
   size_t size() const { return live_; }
+  // Heap entries, live plus not-yet-reaped cancelled ones.
+  size_t heap_entries() const { return heap_.size(); }
 
   // kNoTime when empty.
   SimTime next_time() const {
@@ -132,6 +149,10 @@ class EventQueue {
   };
   static constexpr uint32_t kChunkShift = 6;
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;
+  // cancel() compacts once the heap holds more than kCompactRatio entries
+  // per live event (and is not tiny).
+  static constexpr size_t kCompactMinEntries = 64;
+  static constexpr size_t kCompactRatio = 4;
 
   static EventId make_id(uint32_t gen, uint32_t slot) {
     return (static_cast<EventId>(gen) << 32) | slot;
@@ -168,6 +189,8 @@ class EventQueue {
     }
   }
 
+  // Drop every dead entry, recycling its slot, and re-heapify.
+  void compact();
   void sift_up(size_t i);
   void sift_down(size_t i) const;
   void pop_root() const {

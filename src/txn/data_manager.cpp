@@ -928,7 +928,7 @@ void DataManager::finish_abort(TxnId txn, bool log_abort) {
                                      ctx.coordinator, {}, {}});
     }
     if (stable_.find_outcome(txn) == nullptr) {
-      stable_.record_outcome(txn, OutcomeRec{false, {}});
+      stable_.record_outcome(txn, OutcomeRec{});
     }
   }
   ctxs_.erase(it);
@@ -1137,10 +1137,10 @@ void DataManager::boot() {
   for (const auto& rec : stable_.wal().records()) {
     if (rec.kind == WalRecord::Kind::kCommit &&
         stable_.find_outcome(rec.txn) == nullptr) {
-      stable_.record_outcome(rec.txn, OutcomeRec{true, rec.new_counters});
+      stable_.record_outcome(rec.txn, OutcomeRec{true, rec.new_counters, {}});
     } else if (rec.kind == WalRecord::Kind::kAbort &&
                stable_.find_outcome(rec.txn) == nullptr) {
-      stable_.record_outcome(rec.txn, OutcomeRec{false, {}});
+      stable_.record_outcome(rec.txn, OutcomeRec{});
     }
   }
 }
@@ -1151,7 +1151,7 @@ void DataManager::resolve_in_doubt(
   if (!committed) {
     stable_.wal().append(WalRecord{WalRecord::Kind::kAbort, rec.txn,
                                    rec.txn_kind, rec.coordinator, {}, {}});
-    stable_.record_outcome(rec.txn, OutcomeRec{false, {}});
+    stable_.record_outcome(rec.txn, OutcomeRec{});
     metrics_.inc(metrics_.id.dm_indoubt_aborted);
     return;
   }
@@ -1192,7 +1192,7 @@ void DataManager::resolve_in_doubt(
                                  rec.txn_kind, rec.coordinator, {},
                                  new_counters});
   if (stable_.find_outcome(rec.txn) == nullptr) {
-    stable_.record_outcome(rec.txn, OutcomeRec{true, new_counters});
+    stable_.record_outcome(rec.txn, OutcomeRec{true, new_counters, {}});
   }
   metrics_.inc(metrics_.id.dm_indoubt_committed);
   send_outcome_ack(rec.txn, rec.coordinator);

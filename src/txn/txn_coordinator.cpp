@@ -338,7 +338,7 @@ void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
           for (const auto& [item, ctr] : max_counters_) {
             creq.new_counters.emplace_back(item, ctr + 1);
           }
-          OutcomeRec decision{true, creq.new_counters};
+          OutcomeRec decision{true, creq.new_counters, {}};
           for (SiteId q : write_participants_) decision.unacked.push_back(q);
           stable_.record_outcome(txn_, std::move(decision));
           if (recorder_) recorder_->commit(txn_, sched_.now());

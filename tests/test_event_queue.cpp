@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <deque>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "sim/event_queue.h"
 #include "sim/scheduler.h"
 
@@ -116,6 +123,118 @@ TEST(EventQueue, StaleIdCannotCancelRecycledSlot) {
   EXPECT_EQ(q.size(), 1u);
   q.pop().fn();
   EXPECT_TRUE(ran);
+}
+
+// Random push / push_keyed / cancel / pop traffic against a reference
+// ordered set, with far-future timers that are mostly cancelled so the heap
+// compacts many times. Compaction must never change what pops, in which
+// order, or which ids are still cancellable.
+TEST(EventQueue, CompactionPreservesOrderAndIds) {
+  using Ref = std::pair<SimTime, EventKey>;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::set<Ref> ref;
+    std::map<EventId, Ref> live;
+    std::vector<EventId> live_ids; // same set as `live`, for random picks
+    std::vector<EventId> dead_ids; // cancelled or fired
+    std::array<uint32_t, 4> lane_counters{};
+    uint32_t fifo_seq = 0; // push()'s own lane-1 counter
+    SimTime now = 0;
+    Ref fired{};
+    int compactions = 0;
+    size_t target = 32;
+    for (int step = 0; step < 60'000; ++step) {
+      if (step % 2000 == 0) target = static_cast<size_t>(rng.uniform(4, 400));
+      const int64_t op = rng.uniform(0, 99);
+      if (live.size() < target && op < 60) {
+        // Coarse times make equal-time ties (and lane ordering) common;
+        // half the events are far-deadline timers.
+        const SimTime at = now + (op < 30 ? rng.uniform(0, 8) * 10
+                                          : 10'000 + rng.uniform(0, 8) * 10);
+        EventKey key;
+        EventId id;
+        if (rng.bernoulli(0.25)) {
+          key = make_event_key(1, fifo_seq++);
+          id = q.push(at, [&fired, at, key]() { fired = {at, key}; });
+        } else {
+          const auto lane = static_cast<uint32_t>(rng.uniform(0, 3));
+          key = make_event_key(lane + 2, lane_counters[lane]++);
+          id = q.push_keyed(at, key,
+                            [&fired, at, key]() { fired = {at, key}; });
+        }
+        ASSERT_TRUE(ref.insert({at, key}).second);
+        live.emplace(id, Ref{at, key});
+        live_ids.push_back(id);
+      } else if (!live_ids.empty() && op < 90) {
+        const auto i = static_cast<size_t>(
+            rng.uniform(0, static_cast<int64_t>(live_ids.size()) - 1));
+        const EventId id = live_ids[i];
+        live_ids[i] = live_ids.back();
+        live_ids.pop_back();
+        const size_t heap_before = q.heap_entries();
+        ASSERT_TRUE(q.cancel(id));
+        if (q.heap_entries() < heap_before) ++compactions;
+        ref.erase(live.at(id));
+        live.erase(id);
+        dead_ids.push_back(id);
+      } else if (!q.empty()) {
+        EventQueue::Fired f = q.pop();
+        ASSERT_EQ(Ref(f.time, f.key), *ref.begin());
+        f.fn();
+        ASSERT_EQ(fired, *ref.begin()); // the callable belongs to this event
+        ASSERT_EQ(live.at(f.id), *ref.begin());
+        ref.erase(ref.begin());
+        live.erase(f.id);
+        live_ids.erase(std::find(live_ids.begin(), live_ids.end(), f.id));
+        dead_ids.push_back(f.id);
+        now = f.time;
+      }
+      if (!dead_ids.empty() && rng.bernoulli(0.2)) {
+        // Cancelled (possibly compacted away) or fired: the id is dead even
+        // when its slot has since been recycled for a live event.
+        const auto i = static_cast<size_t>(
+            rng.uniform(0, static_cast<int64_t>(dead_ids.size()) - 1));
+        ASSERT_FALSE(q.cancel(dead_ids[i]));
+      }
+      ASSERT_EQ(q.size(), ref.size());
+      ASSERT_EQ(q.next_time(), ref.empty() ? kNoTime : ref.begin()->first);
+    }
+    EXPECT_GT(compactions, 20);
+  }
+}
+
+// The RPC-timeout pattern: every request arms a far-deadline timeout and
+// nine responses in ten cancel it a few steps later, while message
+// deliveries keep popping. Lazy reaping alone would hold every cancelled
+// timeout until its deadline reached the root.
+TEST(EventQueue, CancelledTimeoutsStayWithinCompactionBound) {
+  constexpr SimTime kDeadline = 20'000;
+  // EventQueue compacts once the heap exceeds both 64 entries and four
+  // entries per live event.
+  constexpr size_t kMinEntries = 64;
+  constexpr size_t kRatio = 4;
+  EventQueue q;
+  std::deque<EventId> awaiting; // timeouts whose response is in flight
+  size_t max_heap = 0;
+  for (SimTime now = 0; now < 4 * kDeadline; ++now) {
+    awaiting.push_back(q.push(now + kDeadline, []() {}));
+    q.push(now + 3, []() {}); // a message delivery
+    if (awaiting.size() > 8) {
+      if (now % 10 != 0) {
+        ASSERT_TRUE(q.cancel(awaiting.front()));
+        ASSERT_LE(q.heap_entries(), std::max(kMinEntries, kRatio * q.size()));
+      }
+      awaiting.pop_front();
+    }
+    while (q.next_time() != kNoTime && q.next_time() <= now) q.pop();
+    max_heap = std::max(max_heap, q.heap_entries());
+  }
+  // About kDeadline / 10 uncancelled timeouts are live at any time; without
+  // compaction the heap would hold all kDeadline timeouts of the window.
+  EXPECT_LE(max_heap, kRatio * (kDeadline / 10 + 64));
+  EXPECT_LT(max_heap, static_cast<size_t>(kDeadline) / 2);
 }
 
 TEST(EventQueue, SmallCallablesStayInline) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build + tests, the sanitizer build, and a
-# smoke run of the observability pipeline (ddbs_sim report/span export ->
-# ddbs_trace.py -> compare_reports.py). Run from anywhere; everything is
-# anchored to the repo root. Exits non-zero on the first failure.
+# Tier-1 verification gate: build + tests, the benchmark smoke, the
+# sanitizer build, and a smoke run of the observability pipeline
+# (ddbs_sim report/span export -> ddbs_trace.py -> compare_reports.py).
+# Run from anywhere; everything is anchored to the repo root. Exits
+# non-zero on the first failure.
 #
 # Usage: tools/ci/run_checks.sh [--no-asan] [--no-tsan] [--no-perf] [--no-soak]
 set -euo pipefail
@@ -35,6 +36,13 @@ cmake --build --preset default -j "$jobs"
 
 step "tier-1 tests"
 ctest --preset default -j "$jobs"
+
+step "repository benchmark smoke (perfbench/smoke.py)"
+# Every benchmark workload, untraced and traced, at a short horizon. It
+# fails when a traced run perturbs the simulation, the verifier-off pass
+# simulates differently, or parallel_32 ends in a different state than its
+# DES twin. The benchmark build goes to .bench_build/.
+python3 "$repo/perfbench/smoke.py"
 
 if [[ "$run_asan" == 1 ]]; then
   step "ASan+UBSan build (preset: asan)"
