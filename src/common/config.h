@@ -3,8 +3,12 @@
 // algorithm (ROWAA + session vectors + mark-all).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <string_view>
+#include <system_error>
 
 #include "common/types.h"
 
@@ -72,9 +76,11 @@ const char* to_string(UnreadablePolicy p);
 const char* to_string(StorageEngineKind k);
 const char* to_string(PlantedBug b);
 
-// Inverse of the to_string pairs above, for parsing CLI flags and repro
-// artifacts. Each returns false (leaving *out untouched) on an unknown
-// name.
+// Inverse of the to_string pairs above: the one parser behind CLI flags,
+// sweep axes and repro artifacts. Each accepts the to_string spelling and,
+// where the command lines use a shorter one, that too ("rowa", "rowaa",
+// "spooler", "vcmp"); it returns false (leaving *out untouched) on any
+// other name.
 bool parse_write_scheme(std::string_view name, WriteScheme* out);
 bool parse_recovery_scheme(std::string_view name, RecoveryScheme* out);
 bool parse_outdated_strategy(std::string_view name, OutdatedStrategy* out);
@@ -153,12 +159,6 @@ struct Config {
   // Jitter the failure detector's period so concurrent type-2 control
   // transactions from different sites do not collide in lockstep.
   bool detector_jitter = true;
-  // Batch all physical operations a coordinator sends to the same
-  // destination site into one BatchReq envelope. Semantically neutral
-  // (the Section 3.2 session check is per-site, so one check covers the
-  // batch); off restores the one-RPC-per-operation path for differential
-  // testing.
-  bool batch_physical_ops = true;
   // Footprint-proportional session protocol: user transactions and copiers
   // read/freeze only the NS entries of sites hosting their read/write set
   // (their host set), so per-transaction NS cost is O(touched sites), not
@@ -240,5 +240,70 @@ struct Config {
                             n_sites);
   }
 };
+
+// Strict text -> number: all of `text` must parse, so "12x", "" and
+// out-of-range values fail (and unsigned types take no sign).
+template <typename T>
+bool parse_number(std::string_view text, T* out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end) return false;
+  *out = v;
+  return true;
+}
+
+// parse_number, then times `unit`: a command-line value given in coarser
+// units (ms -> us). False on overflow too.
+inline bool parse_scaled(std::string_view text, int64_t unit, int64_t* out) {
+  int64_t n = 0;
+  return parse_number(text, &n) && !__builtin_mul_overflow(n, unit, out);
+}
+
+class JsonWriter;
+
+// One row per independently settable Config field: the single place that
+// names a knob for the command lines, ddbs_sweep axes, the report config
+// echo (write_config) and repro artifacts (parse_repro). Adding a knob
+// means a Config member plus one row in config.cpp.
+struct ConfigField {
+  enum class Kind : uint8_t {
+    kNumber, // integer or real
+    kSwitch, // on|off (or true|false); a bare "--flag" means on
+    kChoice, // an enum, parsed by its parse_* function above
+  };
+  const char* key;            // JSON key in the config echo
+  const char* flag = nullptr; // CLI flag ("--sites"); nullptr = none
+  const char* arg = nullptr;  // value syntax for --help ("N", "on|off")
+  const char* help = nullptr; // --help description
+  bool sweepable = false;     // may be a ddbs_sweep axis
+  int64_t flag_unit = 1;      // config units per CLI unit (1000: ms -> us)
+  Kind kind = Kind::kNumber;
+  void (*print)(JsonWriter& w, const Config& c) = nullptr;
+  bool (*parse)(std::string_view text, Config* c) = nullptr;
+};
+
+// Every field, in config-echo key order.
+std::span<const ConfigField> config_fields();
+
+// The row whose flag a command-line argument names: "--flag=value", or a
+// bare "--flag" for a kSwitch row. Sets *value to the text after '='
+// ("on" when bare). nullptr when no row matches.
+const ConfigField* find_config_flag(std::string_view arg,
+                                    std::string_view* value);
+
+// Parse a command-line value (in flag units) into *c; false if malformed.
+bool parse_flag_value(const ConfigField& f, std::string_view value,
+                      Config* c);
+
+// find_config_flag + parse_flag_value: false when `arg` names no Config
+// flag or its value is malformed (callers print usage and exit 2).
+bool apply_config_flag(std::string_view arg, Config* c);
+
+// --help lines for every row with a flag, except `shadowed` (a flag the
+// tool spends on something else). With mark_axes, sweepable rows are
+// prefixed with '*'.
+std::string config_flags_help(std::string_view shadowed = {},
+                              bool mark_axes = false);
 
 } // namespace ddbs

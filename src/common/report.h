@@ -180,7 +180,8 @@ class RunReport {
   std::vector<Run> runs_;
 };
 
-// Serialize one Config as a JSON object (shared by report + sim tool).
+// Serialize one Config as a JSON object: every config_fields() row, in
+// table order.
 void write_config(JsonWriter& w, const Config& cfg);
 // Serialize one histogram's deterministic view: count, exact min/max and
 // bucket-derived percentiles (no mean/sum -- see Run::histograms).

@@ -107,13 +107,13 @@ class CoordinatorBase {
   // Mark a site as touched; it becomes a 2PC participant.
   void touch(SiteId site) { participants_.insert(site); }
 
-  // Send the writes ONE AT A TIME in the given order. All writers of the
-  // same item use ascending site order, so X-locks on one item's copies are
-  // acquired in a canonical global order and multi-site writer/writer
-  // deadlocks (invisible to local wait-for graphs) cannot form. With
-  // Config::batch_physical_ops, runs of consecutive same-destination writes
-  // travel in one BatchReq -- the run boundaries preserve the caller's send
-  // order, so the canonical global order is unchanged.
+  // Send the writes ONE DESTINATION AT A TIME in the given order. All
+  // writers of the same item use ascending site order, so X-locks on one
+  // item's copies are acquired in a canonical global order and multi-site
+  // writer/writer deadlocks (invisible to local wait-for graphs) cannot
+  // form. Runs of consecutive same-destination writes travel in one
+  // BatchReq -- the run boundaries preserve the caller's send order, so the
+  // canonical global order is unchanged.
   // k(true) when all staged; k(false, code) on first failure (timeouts are
   // reported through suspect()).
   struct PlannedWrite {
@@ -123,17 +123,9 @@ class CoordinatorBase {
   void send_writes_seq(std::vector<PlannedWrite> writes,
                        std::function<void(bool, Code)> k);
 
-  // Async-chain state holders for the two sequential helpers. Owned by the
-  // in-flight RPC callbacks: no self-referential closures, no leaks.
-  struct NsReadState {
-    SiteId at = kInvalidSite;
-    bool bypass = false;
-    SessionNum expected = 0;
-    std::vector<SiteId> sites; // NS entries to read, ascending
-    std::function<void(bool)> k;
-  };
-  // One sequential send: a single WriteReq, or a BatchReq carrying a run of
-  // consecutive same-destination writes.
+  // One send of send_writes_seq: a single WriteReq, or a BatchReq carrying
+  // a run of consecutive same-destination writes. The chain state is owned
+  // by the in-flight RPC callbacks: no self-referential closures, no leaks.
   struct WriteGroup {
     SiteId to = kInvalidSite;
     std::vector<WriteReq> reqs;
@@ -142,8 +134,6 @@ class CoordinatorBase {
     std::vector<WriteGroup> groups;
     std::function<void(bool, Code)> k;
   };
-  void ns_read_step(std::shared_ptr<NsReadState> st, size_t idx);
-  void ns_read_batched(std::shared_ptr<NsReadState> st);
   void write_seq_step(std::shared_ptr<WriteSeqState> st, size_t i);
   void write_group_result(std::shared_ptr<WriteSeqState> st, size_t i,
                           SiteId to, Code rc);
@@ -255,23 +245,17 @@ class UserTxnCoordinator : public CoordinatorBase {
   // only NS entries whose values can ever matter to this transaction.
   std::vector<SiteId> host_set() const;
 
-  void next_op();
-  void do_read(const LogicalOp& op, size_t candidate_idx);
-  void do_write(const LogicalOp& op);
-  void send_writes_parallel(std::vector<PlannedWrite> writes,
-                            std::function<void(bool, Code)> k);
-  // Commit phase shared by the sequential and batched op loops.
+  // Commit phase: one-phase read-only commit or 2PC.
   void finish_ops();
 
-  // Whole-transaction batching (Config::batch_physical_ops): every logical
-  // op is planned against the frozen view up front and shipped as ONE
-  // BatchReq per destination site -- O(sites) scheduler events instead of
-  // O(ops x sites). Safe because the Section 3.2 session check is per-site:
-  // the batch is admitted or rejected under exactly the session number each
-  // single op would have carried. A failed write aborts (conjunction over
-  // nominally-up copies); a failed read falls back to the single-read
-  // candidate ladder, which can park on unreadable copies just as the
-  // unbatched path does.
+  // Whole-transaction batching: every logical op is planned against the
+  // frozen view up front and shipped as ONE BatchReq per destination site
+  // -- O(sites) scheduler events instead of O(ops x sites). Safe because
+  // the Section 3.2 session check is per-site: the batch is admitted or
+  // rejected under exactly the session number each single op would have
+  // carried. A failed write aborts (conjunction over nominally-up copies);
+  // a failed read falls back to the single-read candidate ladder, which
+  // can park on unreadable copies.
   struct ReadRetry {
     ItemId item = 0;
     size_t slot = 0;       // read-op ordinal (index into read_values_)
@@ -304,7 +288,6 @@ class UserTxnCoordinator : public CoordinatorBase {
   void retry_read(std::shared_ptr<BatchRunState> st, size_t candidate_idx);
 
   TxnSpec spec_;
-  size_t op_idx_ = 0;
   std::vector<Value> read_values_;
   std::vector<SiteId> read_cands_;
 };

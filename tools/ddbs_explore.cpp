@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "explore/explorer.h"
 #include "explore/repro.h"
 #include "explore/schedule.h"
@@ -37,6 +38,7 @@
 #include "workload/sweep.h"
 
 using namespace ddbs;
+using namespace ddbs::cli;
 
 namespace {
 
@@ -69,14 +71,8 @@ struct Options {
       "  --no-drop-bursts      exclude message-drop bursts\n"
       "  --no-skew             exclude latency-skew windows\n"
       "run shape:\n"
-      "  --sites=N --items=N --degree=N --loss=F\n"
-      "  --footprint-ns=on|off host-set-only session reads (default on)\n"
-      "  --storage-engine=in-memory|durable\n"
-      "  --checkpoint-interval=N --disk-latency-us=N --disk-bw-mbps=N\n"
-      "  --disk-queue-depth=N  durable-engine device knobs\n"
       "  --horizon-ms=N        load+fault window (default 2000)\n"
       "  --clients=N --ops=N --reads=F --zipf=F\n"
-      "  --planted-bug=NAME    none|skip-session-check|skip-mark\n"
       "  --verify=MODE         post-hoc|online (default post-hoc);\n"
       "                        online streams commits through the\n"
       "                        incremental 1-STG verifier instead of\n"
@@ -90,92 +86,58 @@ struct Options {
       "                        explore-corpus; \"\" disables)\n"
       "  --replay=FILE         replay one repro artifact and exit\n"
       "  --telemetry-dir=DIR   write TEL_sched<S>_seed<N>.jsonl per run\n"
-      "  --telemetry-interval-ms=N  telemetry tick period (default 250)\n",
-      argv0);
+      "  --telemetry-interval-ms=N  telemetry tick period (default 250)\n"
+      "config (history is always recorded; --verify picks the verifier):\n"
+      "%s",
+      argv0, config_flags_help("--threads").c_str());
   std::exit(2);
-}
-
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
 }
 
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool ok = true;
     if (parse_kv(argv[i], "--schedules", &v)) {
-      o.schedules = std::stoi(v);
+      ok = parse_number(v, &o.schedules);
     } else if (parse_kv(argv[i], "--seeds", &v)) {
-      o.seeds = std::stoi(v);
+      ok = parse_number(v, &o.seeds);
     } else if (parse_kv(argv[i], "--seed-base", &v)) {
-      o.seed_base = std::stoull(v);
+      ok = parse_number(v, &o.seed_base);
     } else if (parse_kv(argv[i], "--schedule-seed-base", &v)) {
-      o.schedule_seed_base = std::stoull(v);
+      ok = parse_number(v, &o.schedule_seed_base);
     } else if (parse_kv(argv[i], "--max-actions", &v)) {
-      o.sched.max_actions = std::stoi(v);
+      ok = parse_number(v, &o.sched.max_actions);
     } else if (std::strcmp(argv[i], "--partitions") == 0) {
       o.sched.partitions = true;
     } else if (std::strcmp(argv[i], "--no-drop-bursts") == 0) {
       o.sched.drop_bursts = false;
     } else if (std::strcmp(argv[i], "--no-skew") == 0) {
       o.sched.latency_skew = false;
-    } else if (parse_kv(argv[i], "--sites", &v)) {
-      o.run.cfg.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.run.cfg.n_items = std::stoll(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.run.cfg.replication_degree = std::stoi(v);
-    } else if (parse_kv(argv[i], "--footprint-ns", &v)) {
-      if (v == "on") {
-        o.run.cfg.footprint_ns = true;
-      } else if (v == "off") {
-        o.run.cfg.footprint_ns = false;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (parse_kv(argv[i], "--loss", &v)) {
-      o.run.cfg.msg_loss_prob = std::stod(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      if (!parse_storage_engine(v, &o.run.cfg.storage_engine)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.run.cfg.checkpoint_interval = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.run.cfg.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.run.cfg.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.run.cfg.disk_queue_depth = std::stoi(v);
     } else if (parse_kv(argv[i], "--horizon-ms", &v)) {
-      o.run.horizon = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.run.horizon);
     } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.run.clients_per_site = std::stoi(v);
+      ok = parse_number(v, &o.run.clients_per_site);
     } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.run.workload.ops_per_txn = std::stoi(v);
+      ok = parse_number(v, &o.run.workload.ops_per_txn);
     } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.run.workload.read_fraction = std::stod(v);
+      ok = parse_number(v, &o.run.workload.read_fraction);
     } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.run.workload.zipf_theta = std::stod(v);
-    } else if (parse_kv(argv[i], "--planted-bug", &v)) {
-      if (!parse_planted_bug(v, &o.run.cfg.planted_bug)) usage(argv[0]);
+      ok = parse_number(v, &o.run.workload.zipf_theta);
     } else if (parse_kv(argv[i], "--verify", &v)) {
-      if (!parse_verify_mode(v, &o.run.verify)) usage(argv[0]);
+      ok = parse_verify_mode(v, &o.run.verify);
     } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.threads = std::stoi(v);
+      ok = parse_number(v, &o.threads);
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      o.threads = std::stoi(argv[++i]);
+      ok = parse_number(argv[++i], &o.threads);
     } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      o.threads = std::stoi(argv[i] + 2);
+      ok = parse_number(argv[i] + 2, &o.threads);
     } else if (std::strcmp(argv[i], "--fail-fast") == 0) {
       o.fail_fast = true;
     } else if (parse_kv(argv[i], "--shrink-budget", &v)) {
-      o.shrink_budget = std::stoi(v);
+      ok = parse_number(v, &o.shrink_budget);
     } else if (parse_kv(argv[i], "--max-shrinks", &v)) {
-      o.max_shrinks = std::stoi(v);
+      ok = parse_number(v, &o.max_shrinks);
     } else if (parse_kv(argv[i], "--corpus", &v)) {
       o.corpus = v;
     } else if (parse_kv(argv[i], "--replay", &v)) {
@@ -184,10 +146,11 @@ Options parse(int argc, char** argv) {
       o.telemetry_dir = v;
       o.run.capture_telemetry = true;
     } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.run.telemetry.interval = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.run.telemetry.interval);
     } else {
-      usage(argv[0]);
+      ok = apply_config_flag(argv[i], &o.run.cfg);
     }
+    if (!ok) usage(argv[0]);
   }
   if (o.schedules < 1 || o.seeds < 1 || o.threads < 1 ||
       o.sched.max_actions < 1 || o.shrink_budget < 1) {
@@ -230,17 +193,6 @@ int replay_artifact(const std::string& path) {
   std::printf("reproduced byte-for-byte: %s\n",
               to_string(r.run.violations.front()).c_str());
   return 0;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ddbs_explore: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 struct RunOutcome {
@@ -314,7 +266,7 @@ int main(int argc, char** argv) {
         const std::string path = o.telemetry_dir + "/TEL_sched" +
                                  std::to_string(out.schedule_seed) + "_seed" +
                                  std::to_string(out.seed) + ".jsonl";
-        write_file(path, out.result.telemetry_jsonl);
+        write_file("ddbs_explore", path, out.result.telemetry_jsonl);
       }
     }
   }
@@ -384,7 +336,7 @@ int main(int argc, char** argv) {
       const std::string path = o.corpus + "/REPRO_sched" +
                                std::to_string(out.schedule_seed) + "_seed" +
                                std::to_string(out.seed) + ".json";
-      if (!write_file(path, to_json(artifact))) rc = 1;
+      if (!write_file("ddbs_explore", path, to_json(artifact))) rc = 1;
     }
   }
 

@@ -25,11 +25,13 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/telemetry.h"
 #include "workload/soak.h"
 #include "workload/sweep.h"
 
 using namespace ddbs;
+using namespace ddbs::cli;
 
 namespace {
 
@@ -50,20 +52,15 @@ struct CliOptions {
   std::printf(
       "usage: %s [flags]\n"
       "  --cells=A,B,..        mark-all|vcmp|fail-lock|missing-list|spooler\n"
-      "                        (default: all five)\n"
+      "                        (default: all five; a cell sets --scheme and\n"
+      "                        --strategy)\n"
       "  --rounds=N            crash/recover/load rounds per cell\n"
       "  --round-ms=N          load window per round (sim ms)\n"
       "  --crash-ms=N          crash offset within a round (-1 disables)\n"
       "  --recover-ms=N        recover offset within a round\n"
       "  --target-committed=N  stop a cell once N txns committed\n"
       "  --clients=N --ops=N --reads=F --zipf=F\n"
-      "  --sites=N --items=N --degree=N\n"
-      "  --storage-engine=in-memory|durable (default in-memory)\n"
-      "  --checkpoint-interval=N --disk-latency-us=N --disk-bw-mbps=N\n"
-      "  --disk-queue-depth=N  durable-engine device knobs\n"
       "  --seed=N              base seed (cell index is mixed in)\n"
-      "  --threads=N           worker threads per cluster (N>1 selects the\n"
-      "                        site-parallel backend inside each cell)\n"
       "  -j N, --jobs=N        cells run in parallel\n"
       "  --rss-limit-mb=N      fail (exit 3) if process VmHWM exceeds this;\n"
       "                        sampled on the telemetry tick inside rounds\n"
@@ -74,53 +71,21 @@ struct CliOptions {
       "  --watchdog            abort a stalling cell (exit 4)\n"
       "  --watchdog-no-commit-ms=N --watchdog-recovery-ms=N\n"
       "  --watchdog-retries=N  stall budgets (common/telemetry.h)\n"
-      "  --bundle-out=PFX      stall bundles to PFX.<cell>.json\n",
-      argv0);
+      "  --bundle-out=PFX      stall bundles to PFX.<cell>.json\n"
+      "config (history recording and the online verifier are always on):\n"
+      "%s",
+      argv0, config_flags_help().c_str());
   std::exit(2);
 }
 
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-std::vector<std::string> split_commas(const std::string& v) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= v.size()) {
-    const size_t comma = v.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(v.substr(start));
-      break;
-    }
-    out.push_back(v.substr(start, comma - start));
-    start = comma + 1;
-  }
-  return out;
-}
-
+// A cell names the spooler baseline or one session-vector strategy.
 bool apply_cell(Config& cfg, const std::string& cell) {
-  if (cell == "spooler") {
-    cfg.recovery_scheme = RecoveryScheme::kSpooler;
+  if (parse_recovery_scheme(cell, &cfg.recovery_scheme) &&
+      cfg.recovery_scheme == RecoveryScheme::kSpooler) {
     return true;
   }
   cfg.recovery_scheme = RecoveryScheme::kSessionVector;
-  if (cell == "mark-all") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAll;
-  } else if (cell == "vcmp") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAllVersionCmp;
-  } else if (cell == "fail-lock") {
-    cfg.outdated_strategy = OutdatedStrategy::kFailLock;
-  } else if (cell == "missing-list") {
-    cfg.outdated_strategy = OutdatedStrategy::kMissingList;
-  } else {
-    return false;
-  }
-  return true;
+  return parse_outdated_strategy(cell, &cfg.outdated_strategy);
 }
 
 CliOptions parse(int argc, char** argv) {
@@ -128,54 +93,37 @@ CliOptions parse(int argc, char** argv) {
   o.soak.rounds = 50;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool ok = true;
     if (parse_kv(argv[i], "--cells", &v)) {
       o.cells = split_commas(v);
     } else if (parse_kv(argv[i], "--rounds", &v)) {
-      o.soak.rounds = std::stoi(v);
+      ok = parse_number(v, &o.soak.rounds);
     } else if (parse_kv(argv[i], "--round-ms", &v)) {
-      o.soak.round_duration = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.soak.round_duration);
     } else if (parse_kv(argv[i], "--crash-ms", &v)) {
-      o.soak.crash_at = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.soak.crash_at);
     } else if (parse_kv(argv[i], "--recover-ms", &v)) {
-      o.soak.recover_at = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.soak.recover_at);
     } else if (parse_kv(argv[i], "--target-committed", &v)) {
-      o.soak.target_committed = std::stoull(v);
+      ok = parse_number(v, &o.soak.target_committed);
     } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.soak.clients_per_site = std::stoi(v);
+      ok = parse_number(v, &o.soak.clients_per_site);
     } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.soak.workload.ops_per_txn = std::stoi(v);
+      ok = parse_number(v, &o.soak.workload.ops_per_txn);
     } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.soak.workload.read_fraction = std::stod(v);
+      ok = parse_number(v, &o.soak.workload.read_fraction);
     } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.soak.workload.zipf_theta = std::stod(v);
-    } else if (parse_kv(argv[i], "--sites", &v)) {
-      o.base.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.base.n_items = std::stoll(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.base.replication_degree = std::stoi(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      if (!parse_storage_engine(v, &o.base.storage_engine)) usage(argv[0]);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.base.checkpoint_interval = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.base.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.base.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.base.disk_queue_depth = std::stoi(v);
+      ok = parse_number(v, &o.soak.workload.zipf_theta);
     } else if (parse_kv(argv[i], "--seed", &v)) {
-      o.seed = std::stoull(v);
-    } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.base.n_threads = std::stoi(v);
+      ok = parse_number(v, &o.seed);
     } else if (parse_kv(argv[i], "--jobs", &v)) {
-      o.threads = std::stoi(v);
+      ok = parse_number(v, &o.threads);
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      o.threads = std::stoi(argv[++i]);
+      ok = parse_number(argv[++i], &o.threads);
     } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      o.threads = std::stoi(argv[i] + 2);
+      ok = parse_number(argv[i] + 2, &o.threads);
     } else if (parse_kv(argv[i], "--rss-limit-mb", &v)) {
-      o.rss_limit_kb = std::stoll(v) * 1024;
+      ok = parse_scaled(v, 1024, &o.rss_limit_kb);
     } else if (parse_kv(argv[i], "--out", &v)) {
       o.out = v;
     } else if (std::strcmp(argv[i], "--telemetry") == 0) {
@@ -184,37 +132,27 @@ CliOptions parse(int argc, char** argv) {
       o.telemetry_prefix = v;
       o.soak.enable_telemetry = true;
     } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.soak.telemetry.interval = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.soak.telemetry.interval);
     } else if (std::strcmp(argv[i], "--watchdog") == 0) {
       o.soak.telemetry.watchdog = true;
     } else if (parse_kv(argv[i], "--watchdog-no-commit-ms", &v)) {
-      o.soak.telemetry.no_commit_budget = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.soak.telemetry.no_commit_budget);
     } else if (parse_kv(argv[i], "--watchdog-recovery-ms", &v)) {
-      o.soak.telemetry.recovery_phase_budget = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.soak.telemetry.recovery_phase_budget);
     } else if (parse_kv(argv[i], "--watchdog-retries", &v)) {
-      o.soak.telemetry.control_retry_budget = std::stoll(v);
+      ok = parse_number(v, &o.soak.telemetry.control_retry_budget);
     } else if (parse_kv(argv[i], "--bundle-out", &v)) {
       o.bundle_prefix = v;
     } else {
-      usage(argv[0]);
+      ok = apply_config_flag(argv[i], &o.base);
     }
+    if (!ok) usage(argv[0]);
   }
   if (o.soak.rounds < 1 || o.threads < 1 || o.base.n_threads < 1 ||
       o.cells.empty()) {
     usage(argv[0]);
   }
   return o;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ddbs_soak: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 } // namespace
@@ -272,7 +210,7 @@ int main(int argc, char** argv) {
     }
     if (r.stalled()) {
       if (!o.bundle_prefix.empty() && !r.bundle_json.empty()) {
-        write_file(o.bundle_prefix + "." + o.cells[c] + ".json",
+        write_file("ddbs_soak", o.bundle_prefix + "." + o.cells[c] + ".json",
                    r.bundle_json);
       }
       rc = rc == 0 ? 4 : rc;
@@ -286,7 +224,8 @@ int main(int argc, char** argv) {
       rc = rc == 0 ? 3 : rc;
     }
     if (!o.telemetry_prefix.empty() && !r.telemetry_jsonl.empty()) {
-      write_file(o.telemetry_prefix + "." + o.cells[c] + ".jsonl",
+      write_file("ddbs_soak",
+                 o.telemetry_prefix + "." + o.cells[c] + ".jsonl",
                  r.telemetry_jsonl);
     }
   }
@@ -309,7 +248,7 @@ int main(int argc, char** argv) {
       body += c + 1 < cells.size() ? ",\n" : "\n";
     }
     body += "  ],\n  \"peak_rss_kb\": " + std::to_string(rss) + "\n}\n";
-    if (!write_file(o.out, body)) rc = rc == 0 ? 1 : rc;
+    if (!write_file("ddbs_soak", o.out, body)) rc = rc == 0 ? 1 : rc;
   }
   return rc;
 }

@@ -11,6 +11,7 @@
 //              --crash=2@1000 --recover=2@2500 --out=SWEEP.json
 //   ddbs_sweep --scheme=session-vector,spooler --copier=eager,on-demand
 //              --seeds=4 --duration-ms=2000 --per-run-dir=runs/
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,24 +19,24 @@
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "workload/sweep.h"
 
 using namespace ddbs;
+using namespace ddbs::cli;
 
 namespace {
 
+// One matrix axis: a sweepable Config row and its values as spelled on
+// the command line.
+struct Axis {
+  const ConfigField* field = nullptr;
+  std::vector<std::string> values;
+};
+
 struct Options {
   Config base;
-  std::vector<std::string> schemes{"session-vector"};
-  std::vector<std::string> write_schemes{"rowaa"};
-  std::vector<std::string> strategies{"mark-all"};
-  std::vector<std::string> copiers{"eager"};
-  std::vector<std::string> policies{"block"};
-  std::vector<std::string> engines{"in-memory"};
-  std::vector<std::string> checkpoint_intervals{""}; // "" = config default
-  std::vector<std::string> degrees{""};              // "" = config default
-  std::vector<std::string> item_counts{""};          // "" = config default
-  std::vector<std::string> footprints{""};           // on|off; "" = default
+  std::vector<Axis> axes; // in config_fields() order
   uint64_t seed_base = 1;
   int seeds = 4;
   int threads = 1;
@@ -52,24 +53,11 @@ struct Options {
   SimTime telemetry_interval = 250'000;
   bool fail_fast = false;
   bool no_oracles = false;
-  bool online_verify = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
   std::printf(
       "usage: %s [flags]\n"
-      "matrix axes (comma-separated values; cross product forms the cells):\n"
-      "  --scheme=A,B          session-vector|spooler\n"
-      "  --write-scheme=A,B    rowaa|rowa\n"
-      "  --strategy=A,B,..     mark-all|vcmp|fail-lock|missing-list\n"
-      "  --copier=A,B          eager|on-demand\n"
-      "  --policy=A,B          block|redirect\n"
-      "  --storage-engine=A,B  in-memory|durable\n"
-      "  --checkpoint-interval=N,M  redo records between fuzzy checkpoints\n"
-      "                        (durable engine; 0 = never)\n"
-      "  --degree=N,M          copies per item\n"
-      "  --items=N,M           number of logical items\n"
-      "  --footprint-ns=on,off host-set-only vs full-vector session reads\n"
       "sweep control:\n"
       "  --seeds=N             seeds per cell (default 4)\n"
       "  --seed-base=N         first seed (default 1)\n"
@@ -78,10 +66,6 @@ struct Options {
       "                        cell on the site-parallel backend\n"
       "  --fail-fast           stop scheduling runs after the first failure\n"
       "  --no-oracles          skip the quiescence invariant oracles\n"
-      "  --online-verify       record history and judge the quiescence\n"
-      "                        oracles with the incremental online verifier\n"
-      "  --planted-bug=NAME    protocol mutation for every cell\n"
-      "                        (none|skip-session-check|skip-mark)\n"
       "  --out=PATH            aggregate JSON report (default SWEEP_ddbs.json)\n"
       "  --per-run-dir=DIR     also write RUN_<cell>_seed<N>.json per run\n"
       "  --spans-dir=DIR       also write SPANS_<cell>_seed<N>.json per run\n"
@@ -90,118 +74,72 @@ struct Options {
       "                        (live telemetry stream; see EXPERIMENTS.md)\n"
       "  --telemetry-interval-ms=N  telemetry tick period (default 250)\n"
       "scenario (same meaning as ddbs_sim):\n"
-      "  --sites=N --loss=F\n"
       "  --duration-ms=N --clients=N --ops=N --reads=F --zipf=F\n"
-      "  --crash=S@MS --recover=S@MS (repeatable)\n",
-      argv0);
+      "  --crash=S@MS --recover=S@MS (repeatable)\n"
+      "config (* = matrix axis: comma-separated values, the cross product\n"
+      "forms the cells; history is recorded only with --online-verify):\n"
+      "%s",
+      argv0, config_flags_help("--threads", /*mark_axes=*/true).c_str());
   std::exit(2);
 }
 
-bool parse_kv(const char* arg, const char* key, std::string* out) {
-  const size_t len = std::strlen(key);
-  if (std::strncmp(arg, key, len) == 0 && arg[len] == '=') {
-    *out = arg + len + 1;
-    return true;
+// A Config flag: sweepable rows become (or replace) an axis, every value
+// checked now; the rest set the base config.
+bool add_config_flag(Options& o, const char* arg) {
+  std::string_view value;
+  const ConfigField* f = find_config_flag(arg, &value);
+  if (f == nullptr) return false;
+  if (!f->sweepable) return parse_flag_value(*f, value, &o.base);
+  Axis axis{f, split_commas(std::string(value))};
+  Config scratch;
+  for (const std::string& v : axis.values) {
+    if (!parse_flag_value(*f, v, &scratch)) return false;
   }
-  return false;
-}
-
-std::vector<std::string> split_commas(const std::string& v) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= v.size()) {
-    const size_t comma = v.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(v.substr(start));
-      break;
-    }
-    out.push_back(v.substr(start, comma - start));
-    start = comma + 1;
+  auto it = std::find_if(o.axes.begin(), o.axes.end(),
+                         [f](const Axis& a) { return a.field >= f; });
+  if (it != o.axes.end() && it->field == f) {
+    *it = std::move(axis);
+  } else {
+    o.axes.insert(it, std::move(axis));
   }
-  return out;
-}
-
-FailureEvent parse_event(const std::string& v, FailureEvent::What what,
-                         const char* argv0) {
-  const size_t at = v.find('@');
-  if (at == std::string::npos) usage(argv0);
-  FailureEvent ev;
-  ev.what = what;
-  ev.site = static_cast<SiteId>(std::stol(v.substr(0, at)));
-  ev.at = static_cast<SimTime>(std::stoll(v.substr(at + 1))) * 1000;
-  return ev;
+  return true;
 }
 
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     std::string v;
-    if (parse_kv(argv[i], "--scheme", &v)) {
-      o.schemes = split_commas(v);
-    } else if (parse_kv(argv[i], "--write-scheme", &v)) {
-      o.write_schemes = split_commas(v);
-    } else if (parse_kv(argv[i], "--strategy", &v)) {
-      o.strategies = split_commas(v);
-    } else if (parse_kv(argv[i], "--copier", &v)) {
-      o.copiers = split_commas(v);
-    } else if (parse_kv(argv[i], "--policy", &v)) {
-      o.policies = split_commas(v);
-    } else if (parse_kv(argv[i], "--storage-engine", &v)) {
-      o.engines = split_commas(v);
-    } else if (parse_kv(argv[i], "--checkpoint-interval", &v)) {
-      o.checkpoint_intervals = split_commas(v);
-    } else if (parse_kv(argv[i], "--disk-latency-us", &v)) {
-      o.base.disk_latency_us = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-bw-mbps", &v)) {
-      o.base.disk_bandwidth_mbps = std::stoll(v);
-    } else if (parse_kv(argv[i], "--disk-queue-depth", &v)) {
-      o.base.disk_queue_depth = std::stoi(v);
-    } else if (parse_kv(argv[i], "--seeds", &v)) {
-      o.seeds = std::stoi(v);
+    bool ok = true;
+    if (parse_kv(argv[i], "--seeds", &v)) {
+      ok = parse_number(v, &o.seeds);
     } else if (parse_kv(argv[i], "--seed-base", &v)) {
-      o.seed_base = std::stoull(v);
+      ok = parse_number(v, &o.seed_base);
     } else if (parse_kv(argv[i], "--threads", &v)) {
-      o.threads = std::stoi(v);
+      ok = parse_number(v, &o.threads);
     } else if (parse_kv(argv[i], "--cluster-threads", &v)) {
-      o.base.n_threads = std::stoi(v);
+      ok = parse_number(v, &o.base.n_threads);
     } else if (std::strcmp(argv[i], "-j") == 0 && i + 1 < argc) {
-      o.threads = std::stoi(argv[++i]);
+      ok = parse_number(argv[++i], &o.threads);
     } else if (std::strncmp(argv[i], "-j", 2) == 0 && argv[i][2] != '\0') {
-      o.threads = std::stoi(argv[i] + 2);
-    } else if (parse_kv(argv[i], "--sites", &v)) {
-      o.base.n_sites = std::stoi(v);
-    } else if (parse_kv(argv[i], "--items", &v)) {
-      o.item_counts = split_commas(v);
-    } else if (parse_kv(argv[i], "--degree", &v)) {
-      o.degrees = split_commas(v);
-    } else if (parse_kv(argv[i], "--footprint-ns", &v)) {
-      o.footprints = split_commas(v);
-    } else if (parse_kv(argv[i], "--loss", &v)) {
-      o.base.msg_loss_prob = std::stod(v);
+      ok = parse_number(argv[i] + 2, &o.threads);
     } else if (parse_kv(argv[i], "--duration-ms", &v)) {
-      o.duration = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.duration);
     } else if (parse_kv(argv[i], "--clients", &v)) {
-      o.clients = std::stoi(v);
+      ok = parse_number(v, &o.clients);
     } else if (parse_kv(argv[i], "--ops", &v)) {
-      o.ops_per_txn = std::stoi(v);
+      ok = parse_number(v, &o.ops_per_txn);
     } else if (parse_kv(argv[i], "--reads", &v)) {
-      o.read_fraction = std::stod(v);
+      ok = parse_number(v, &o.read_fraction);
     } else if (parse_kv(argv[i], "--zipf", &v)) {
-      o.zipf = std::stod(v);
+      ok = parse_number(v, &o.zipf);
     } else if (parse_kv(argv[i], "--crash", &v)) {
-      o.schedule.push_back(
-          parse_event(v, FailureEvent::What::kCrash, argv[0]));
+      ok = parse_event(v, FailureEvent::What::kCrash, &o.schedule);
     } else if (parse_kv(argv[i], "--recover", &v)) {
-      o.schedule.push_back(
-          parse_event(v, FailureEvent::What::kRecover, argv[0]));
+      ok = parse_event(v, FailureEvent::What::kRecover, &o.schedule);
     } else if (std::strcmp(argv[i], "--fail-fast") == 0) {
       o.fail_fast = true;
     } else if (std::strcmp(argv[i], "--no-oracles") == 0) {
       o.no_oracles = true;
-    } else if (std::strcmp(argv[i], "--online-verify") == 0) {
-      o.online_verify = true;
-    } else if (parse_kv(argv[i], "--planted-bug", &v)) {
-      if (!parse_planted_bug(v, &o.base.planted_bug)) usage(argv[0]);
     } else if (parse_kv(argv[i], "--out", &v)) {
       o.out = v;
     } else if (parse_kv(argv[i], "--per-run-dir", &v)) {
@@ -211,124 +149,48 @@ Options parse(int argc, char** argv) {
     } else if (parse_kv(argv[i], "--telemetry-dir", &v)) {
       o.telemetry_dir = v;
     } else if (parse_kv(argv[i], "--telemetry-interval-ms", &v)) {
-      o.telemetry_interval = std::stoll(v) * 1000;
+      ok = parse_ms(v, &o.telemetry_interval);
     } else {
-      usage(argv[0]);
+      ok = add_config_flag(o, argv[i]);
     }
+    if (!ok) usage(argv[0]);
   }
   if (o.seeds < 1 || o.threads < 1) usage(argv[0]);
   return o;
 }
 
-bool apply_axis(Config& cfg, const std::string& scheme,
-                const std::string& write_scheme, const std::string& strategy,
-                const std::string& copier, const std::string& policy,
-                const std::string& engine, const std::string& ckpt,
-                const std::string& degree, const std::string& items,
-                const std::string& footprint) {
-  if (!parse_storage_engine(engine, &cfg.storage_engine)) return false;
-  if (!ckpt.empty()) cfg.checkpoint_interval = std::stoll(ckpt);
-  if (!degree.empty()) cfg.replication_degree = std::stoi(degree);
-  if (!items.empty()) cfg.n_items = std::stoll(items);
-  if (!footprint.empty()) {
-    if (footprint == "on") {
-      cfg.footprint_ns = true;
-    } else if (footprint == "off") {
-      cfg.footprint_ns = false;
-    } else {
-      return false;
+// The cross product of the axes, last axis varying fastest. A cell's label
+// joins its values on the axes with more than one value: enum values as
+// spelled, other values as flag=value ("degree=3"); a cell with no such
+// axis is labelled by its outdated strategy.
+std::vector<SweepCell> build_cells(const Options& o) {
+  std::vector<SweepCell> cells;
+  std::vector<size_t> pick(o.axes.size(), 0);
+  for (;;) {
+    SweepCell cell;
+    cell.cfg = o.base;
+    for (size_t a = 0; a < o.axes.size(); ++a) {
+      const Axis& axis = o.axes[a];
+      const std::string& v = axis.values[pick[a]];
+      parse_flag_value(*axis.field, v, &cell.cfg); // checked in parse()
+      if (axis.values.size() < 2) continue;
+      if (!cell.label.empty()) cell.label += '+';
+      if (axis.field->kind != ConfigField::Kind::kChoice) {
+        cell.label += std::string(axis.field->flag + 2) + "=";
+      }
+      cell.label += v;
     }
+    if (cell.label.empty()) cell.label = to_string(cell.cfg.outdated_strategy);
+    // Perf runs carry no checker feed unless the online verifier is
+    // requested (it needs the history event stream as input).
+    cell.cfg.record_history = cell.cfg.online_verify;
+    cells.push_back(std::move(cell));
+    size_t a = o.axes.size();
+    while (a > 0 && ++pick[a - 1] == o.axes[a - 1].values.size()) {
+      pick[--a] = 0;
+    }
+    if (a == 0) return cells;
   }
-  if (scheme == "session-vector") {
-    cfg.recovery_scheme = RecoveryScheme::kSessionVector;
-  } else if (scheme == "spooler") {
-    cfg.recovery_scheme = RecoveryScheme::kSpooler;
-  } else {
-    return false;
-  }
-  if (write_scheme == "rowaa") {
-    cfg.write_scheme = WriteScheme::kRowaa;
-  } else if (write_scheme == "rowa") {
-    cfg.write_scheme = WriteScheme::kRowaStrict;
-  } else {
-    return false;
-  }
-  if (strategy == "mark-all") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAll;
-  } else if (strategy == "vcmp") {
-    cfg.outdated_strategy = OutdatedStrategy::kMarkAllVersionCmp;
-  } else if (strategy == "fail-lock") {
-    cfg.outdated_strategy = OutdatedStrategy::kFailLock;
-  } else if (strategy == "missing-list") {
-    cfg.outdated_strategy = OutdatedStrategy::kMissingList;
-  } else {
-    return false;
-  }
-  if (copier == "eager") {
-    cfg.copier_mode = CopierMode::kEager;
-  } else if (copier == "on-demand") {
-    cfg.copier_mode = CopierMode::kOnDemand;
-  } else {
-    return false;
-  }
-  if (policy == "block") {
-    cfg.unreadable_policy = UnreadablePolicy::kBlock;
-  } else if (policy == "redirect") {
-    cfg.unreadable_policy = UnreadablePolicy::kRedirect;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// Label only from axes with >1 value, so single-axis sweeps stay readable.
-std::string cell_label(const Options& o, const std::string& scheme,
-                       const std::string& write_scheme,
-                       const std::string& strategy, const std::string& copier,
-                       const std::string& policy, const std::string& engine,
-                       const std::string& ckpt, const std::string& degree,
-                       const std::string& items, const std::string& footprint) {
-  std::string label;
-  auto add = [&label](const std::vector<std::string>& axis,
-                      const std::string& v) {
-    if (axis.size() <= 1) return;
-    if (!label.empty()) label += '+';
-    label += v;
-  };
-  add(o.schemes, scheme);
-  add(o.write_schemes, write_scheme);
-  add(o.strategies, strategy);
-  add(o.copiers, copier);
-  add(o.policies, policy);
-  add(o.engines, engine);
-  if (o.checkpoint_intervals.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += "ckpt" + ckpt;
-  }
-  if (o.degrees.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += "deg" + degree;
-  }
-  if (o.item_counts.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += "items" + items;
-  }
-  if (o.footprints.size() > 1) {
-    if (!label.empty()) label += '+';
-    label += (footprint == "off") ? "dense-ns" : "sparse-ns";
-  }
-  return label.empty() ? strategy : label;
-}
-
-bool write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ddbs_sweep: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  return true;
 }
 
 } // namespace
@@ -351,42 +213,7 @@ int main(int argc, char** argv) {
   spec.check_oracles = !o.no_oracles;
   spec.fail_fast = o.fail_fast;
 
-  for (const std::string& scheme : o.schemes) {
-    for (const std::string& ws : o.write_schemes) {
-      for (const std::string& strategy : o.strategies) {
-        for (const std::string& copier : o.copiers) {
-          for (const std::string& policy : o.policies) {
-            for (const std::string& engine : o.engines) {
-              for (const std::string& ckpt : o.checkpoint_intervals) {
-                for (const std::string& degree : o.degrees) {
-                  for (const std::string& items : o.item_counts) {
-                    for (const std::string& fp : o.footprints) {
-                      SweepCell cell;
-                      cell.cfg = o.base;
-                      // Perf runs carry no checker feed unless the online
-                      // verifier is requested (it needs the history event
-                      // stream as input).
-                      cell.cfg.record_history = o.online_verify;
-                      cell.cfg.online_verify = o.online_verify;
-                      if (!apply_axis(cell.cfg, scheme, ws, strategy, copier,
-                                      policy, engine, ckpt, degree, items,
-                                      fp)) {
-                        usage(argv[0]);
-                      }
-                      cell.label = cell_label(o, scheme, ws, strategy, copier,
-                                              policy, engine, ckpt, degree,
-                                              items, fp);
-                      spec.cells.push_back(std::move(cell));
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+  spec.cells = build_cells(o);
 
   std::printf("ddbs_sweep: %zu cells x %d seeds = %zu runs on %d thread%s\n",
               spec.cells.size(), o.seeds, spec.cells.size() * o.seeds,
@@ -412,41 +239,31 @@ int main(int argc, char** argv) {
               res.events_per_sec() / 1e6);
 
   int rc = 0;
-  for (const std::string& dir : {o.per_run_dir, o.spans_dir, o.telemetry_dir}) {
-    if (dir.empty()) continue;
+  // Per-run artifacts: DIR/<prefix><cell>_seed<N><ext>.
+  auto write_runs = [&](const std::string& dir, const char* prefix,
+                        const char* ext, std::string SweepRun::*body) {
+    if (dir.empty()) return;
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) {
       std::fprintf(stderr, "ddbs_sweep: cannot create %s: %s\n", dir.c_str(),
                    ec.message().c_str());
       rc = 1;
+      return;
     }
-  }
-  if (!o.per_run_dir.empty()) {
     for (const SweepRun& r : res.runs) {
-      const std::string path = o.per_run_dir + "/RUN_" +
-                               spec.cells[r.cell].label + "_seed" +
-                               std::to_string(r.seed) + ".json";
-      if (!write_file(path, r.report_json)) rc = 1;
+      const std::string path = dir + "/" + prefix + spec.cells[r.cell].label +
+                               "_seed" + std::to_string(r.seed) + ext;
+      if (!write_file("ddbs_sweep", path, r.*body)) rc = 1;
     }
+  };
+  write_runs(o.per_run_dir, "RUN_", ".json", &SweepRun::report_json);
+  write_runs(o.spans_dir, "SPANS_", ".json", &SweepRun::spans_json);
+  write_runs(o.telemetry_dir, "TEL_", ".jsonl", &SweepRun::telemetry_jsonl);
+  if (!write_file("ddbs_sweep", o.out,
+                  sweep_report_json(spec, res, o.threads))) {
+    rc = 1;
   }
-  if (!o.spans_dir.empty()) {
-    for (const SweepRun& r : res.runs) {
-      const std::string path = o.spans_dir + "/SPANS_" +
-                               spec.cells[r.cell].label + "_seed" +
-                               std::to_string(r.seed) + ".json";
-      if (!write_file(path, r.spans_json)) rc = 1;
-    }
-  }
-  if (!o.telemetry_dir.empty()) {
-    for (const SweepRun& r : res.runs) {
-      const std::string path = o.telemetry_dir + "/TEL_" +
-                               spec.cells[r.cell].label + "_seed" +
-                               std::to_string(r.seed) + ".jsonl";
-      if (!write_file(path, r.telemetry_jsonl)) rc = 1;
-    }
-  }
-  if (!write_file(o.out, sweep_report_json(spec, res, o.threads))) rc = 1;
   // A sweep fails (nonzero exit) when any completed run missed replica
   // convergence or tripped an invariant oracle. Runs skipped by
   // --fail-fast are reported but judged only by the runs that did execute.
