@@ -1,7 +1,7 @@
 // Substrate microbenchmarks (google-benchmark): the hot paths underneath
-// the protocol -- lock manager, event queue, missing list, Zipf sampling,
-// history checking -- plus an end-to-end simulated-transaction benchmark
-// that reports how fast the whole DES executes on the host.
+// the protocol -- lock manager, event queue, copy store, missing list, Zipf
+// sampling, history checking -- plus an end-to-end simulated-transaction
+// benchmark that reports how fast the whole DES executes on the host.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -12,6 +12,7 @@
 #include "net/rpc.h"
 #include "recovery/status_tables.h"
 #include "sim/event_queue.h"
+#include "storage/kv_store.h"
 #include "storage/wal.h"
 #include "txn/lock_manager.h"
 #include "verify/one_sr_checker.h"
@@ -296,6 +297,24 @@ void BM_Wal_TruncateResolved(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Wal_TruncateResolved)->Arg(64)->Arg(1024)->Arg(16384);
+
+// A DM read's copy lookup in one site's store of `copies` hosted items,
+// 43 ids apart (how degree 3 spreads them over 128 sites), probed at
+// random hosted ids.
+void BM_KvStore_Find(benchmark::State& state) {
+  const auto copies = static_cast<ItemId>(state.range(0));
+  KvStore kv;
+  for (ItemId i = 0; i < copies; ++i) kv.create(i * 43, i);
+  std::vector<ItemId> probes(4096);
+  Rng rng(3);
+  for (ItemId& x : probes) x = rng.uniform(0, copies - 1) * 43;
+  size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kv.find(probes[k++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvStore_Find)->Arg(128)->Arg(2048)->Arg(16384);
 
 void BM_MissingList_AddRemove(benchmark::State& state) {
   StatusTable t;

@@ -1,10 +1,10 @@
 #include "common/report.h"
 
 #include <cassert>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 namespace ddbs {
 
@@ -112,9 +112,20 @@ void JsonWriter::value(uint64_t v) {
 
 void JsonWriter::value(double v) {
   comma_and_indent(true);
-  std::ostringstream os;
-  os << v;
-  out_ += os.str();
+  // printf's %g at the fewest significant digits -- six at least, as an
+  // ostream prints -- that parse back to the same double, so a config echo
+  // replays exactly and a value six digits hold prints as it always did
+  // (the shortest form alone would turn 0.0009 into 9e-04).
+  char buf[32];
+  std::to_chars_result res{};
+  for (int digits = 6; digits <= 17; ++digits) {
+    res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        digits);
+    double back = 0;
+    std::from_chars(buf, res.ptr, back);
+    if (back == v) break;
+  }
+  out_.append(buf, res.ptr);
 }
 
 void JsonWriter::value_null() {

@@ -81,7 +81,9 @@ void Site::on_declared_down() {
 }
 
 void Site::bootstrap_up(Value initial_value) {
-  for (ItemId item : cat_.items_at(id_)) {
+  const auto hosted = cat_.items_at(id_);
+  stable_.kv().reserve(hosted.size());
+  for (ItemId item : hosted) {
     stable_.kv().create(item, initial_value);
   }
   for (SiteId k = 0; k < cfg_.n_sites; ++k) {

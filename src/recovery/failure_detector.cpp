@@ -65,12 +65,13 @@ void FailureDetector::stop() {
 void FailureDetector::tick() {
   // Ping every site our local NS copy says is nominally up. The peek is a
   // hint only; the declaration itself is a locked control transaction.
-  const SessionVector ns = peek_ns_vector(env_.stable->kv(), env_.cfg->n_sites);
+  // Entries are read one by one: nothing below delivers synchronously, so
+  // no entry changes while the loop runs.
   const uint64_t epoch = epoch_;
   ++tick_count_;
   for (SiteId s = 0; s < env_.cfg->n_sites; ++s) {
     if (s == env_.self) continue;
-    if (ns[static_cast<size_t>(s)] == 0) {
+    if (peek_ns(env_.stable->kv(), s) == 0) {
       // Reconciliation probe (every 4th tick): a nominally-down site that
       // answers "operational" was falsely declared -- tell it to restart
       // and re-integrate through normal recovery (Section 6's
@@ -166,8 +167,7 @@ void FailureDetector::verify_dead(const CoordinatorEnv& env,
 void FailureDetector::suspect(SiteId s) {
   if (!running_ || s == env_.self) return;
   if (declaring_.count(s)) return;
-  const SessionVector ns = peek_ns_vector(env_.stable->kv(), env_.cfg->n_sites);
-  if (ns[static_cast<size_t>(s)] == 0) return; // already nominally down
+  if (peek_ns(env_.stable->kv(), s) == 0) return; // already nominally down
   begin_verify(s, 3);
 }
 

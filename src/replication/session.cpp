@@ -13,10 +13,8 @@ const char* to_string(SiteMode m) {
 
 SessionVector peek_ns_vector(const KvStore& kv, int n_sites) {
   SessionVector v(static_cast<size_t>(n_sites), 0);
-  for (int k = 0; k < n_sites; ++k) {
-    if (const Copy* c = kv.find(ns_item(k))) {
-      v[static_cast<size_t>(k)] = static_cast<SessionNum>(c->value);
-    }
+  for (SiteId k = 0; k < n_sites; ++k) {
+    v[static_cast<size_t>(k)] = peek_ns(kv, k);
   }
   return v;
 }

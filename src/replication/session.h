@@ -26,5 +26,10 @@ struct SiteState {
 // the store, without locks. ONLY for hints (failure detector, metrics) --
 // transactions must read NS under concurrency control.
 SessionVector peek_ns_vector(const KvStore& kv, int n_sites);
+// One entry of the same (0 when the copy is absent).
+inline SessionNum peek_ns(const KvStore& kv, SiteId k) {
+  const Copy* c = kv.find(ns_item(k));
+  return c == nullptr ? 0 : static_cast<SessionNum>(c->value);
+}
 
 } // namespace ddbs

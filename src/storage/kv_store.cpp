@@ -1,38 +1,45 @@
 #include "storage/kv_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "storage/storage_sink.h"
 
 namespace ddbs {
 
+size_t KvStore::lower_index(ItemId item) const {
+  return static_cast<size_t>(
+      std::lower_bound(data_ids_.begin(), data_ids_.end(), item) -
+      data_ids_.begin());
+}
+
 const KvStore::Slot* KvStore::slot_of(ItemId item) const {
-  if (is_data_item(item)) {
-    const size_t i = static_cast<size_t>(item);
-    if (i >= data_.size() || !data_[i].present) return nullptr;
-    return &data_[i];
-  }
+  const Slot* s = nullptr;
   if (is_ns_item(item)) {
     const size_t i = static_cast<size_t>(item - kNsBase);
-    if (i >= ns_.size() || !ns_[i].present) return nullptr;
-    return &ns_[i];
+    if (i < ns_.size()) s = &ns_[i];
+  } else {
+    const size_t i = lower_index(item);
+    if (i < data_ids_.size() && data_ids_[i] == item) s = &data_[i];
   }
-  auto it = other_.find(item);
-  return it == other_.end() ? nullptr : &it->second;
+  return s != nullptr && s->present ? s : nullptr;
 }
 
 KvStore::Slot& KvStore::ensure_slot(ItemId item, bool* created) {
+  assert((is_data_item(item) || is_ns_item(item)) && "not a stored id");
   Slot* s;
-  if (is_data_item(item)) {
-    const size_t i = static_cast<size_t>(item);
-    if (i >= data_.size()) data_.resize(i + 1);
-    s = &data_[i];
-  } else if (is_ns_item(item)) {
+  if (is_ns_item(item)) {
     const size_t i = static_cast<size_t>(item - kNsBase);
     if (i >= ns_.size()) ns_.resize(i + 1);
     s = &ns_[i];
   } else {
-    s = &other_[item];
+    const size_t i = lower_index(item);
+    if (i == data_ids_.size() || data_ids_[i] != item) {
+      const auto at = static_cast<std::ptrdiff_t>(i);
+      data_ids_.insert(data_ids_.begin() + at, item);
+      data_.insert(data_.begin() + at, Slot{});
+    }
+    s = &data_[i];
   }
   *created = !s->present;
   if (!s->present) {
@@ -67,7 +74,7 @@ void KvStore::install(ItemId item, Value value, Version version) {
 }
 
 void KvStore::mark_unreadable(ItemId item) {
-  Slot* s = const_cast<Slot*>(slot_of(item));
+  Slot* s = slot_of(item);
   assert(s != nullptr);
   if (!s->copy.unreadable) {
     s->copy.unreadable = true;
@@ -77,7 +84,7 @@ void KvStore::mark_unreadable(ItemId item) {
 }
 
 void KvStore::clear_mark(ItemId item) {
-  Slot* s = const_cast<Slot*>(slot_of(item));
+  Slot* s = slot_of(item);
   assert(s != nullptr);
   if (s->copy.unreadable) {
     s->copy.unreadable = false;
@@ -87,23 +94,26 @@ void KvStore::clear_mark(ItemId item) {
 }
 
 void KvStore::wipe() {
-  data_.clear();
-  ns_.clear();
-  other_.clear();
+  std::fill(data_.begin(), data_.end(), Slot{});
+  std::fill(ns_.begin(), ns_.end(), Slot{});
   size_ = 0;
   unreadable_count_ = 0;
+}
+
+size_t KvStore::bytes() const {
+  return data_ids_.capacity() * sizeof(ItemId) +
+         (data_.capacity() + ns_.capacity()) * sizeof(Slot);
 }
 
 std::vector<ItemId> KvStore::items() const {
   std::vector<ItemId> out;
   out.reserve(size_);
   for (size_t i = 0; i < data_.size(); ++i) {
-    if (data_[i].present) out.push_back(static_cast<ItemId>(i));
+    if (data_[i].present) out.push_back(data_ids_[i]);
   }
   for (size_t i = 0; i < ns_.size(); ++i) {
     if (ns_[i].present) out.push_back(kNsBase + static_cast<ItemId>(i));
   }
-  for (const auto& [id, s] : other_) out.push_back(id);
   return out;
 }
 
@@ -111,16 +121,13 @@ std::vector<ItemId> KvStore::unreadable_items() const {
   std::vector<ItemId> out;
   for (size_t i = 0; i < data_.size(); ++i) {
     if (data_[i].present && data_[i].copy.unreadable) {
-      out.push_back(static_cast<ItemId>(i));
+      out.push_back(data_ids_[i]);
     }
   }
   for (size_t i = 0; i < ns_.size(); ++i) {
     if (ns_[i].present && ns_[i].copy.unreadable) {
       out.push_back(kNsBase + static_cast<ItemId>(i));
     }
-  }
-  for (const auto& [id, s] : other_) {
-    if (s.copy.unreadable) out.push_back(id);
   }
   return out;
 }

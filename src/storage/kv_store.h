@@ -4,17 +4,20 @@
 // is lost). The unreadable mark of paper Section 3.2 lives here too, so a
 // crash during refresh can only leave copies pessimistically marked.
 //
-// Data items occupy the dense range [0, n_items), so their copies live in a
-// direct-indexed vector: the per-operation access on the DM hot path is one
-// bounds check and one array load, no hashing. NS copies (kNsBase + site)
-// get a small side vector indexed by site; anything else (nothing today)
-// falls back to an ordered map. Pointers returned by find() are invalidated
-// by create()/install() of a previously-absent item -- no caller holds one
-// across an install (they re-find after staging).
+// Host memory follows what the site holds, not the size of the database.
+// Data copies live in a compact directory: the ascending ids of the data
+// items the site has ever held, with a parallel vector of slots, searched
+// by binary search. The directory is filled in id order at bootstrap; a
+// copy installed later for an absent id is inserted in sorted position.
+// NS copies (kNsBase + site) live in a small side vector indexed by site,
+// since every site hosts all n of them. No other ids are stored. Pointers
+// returned by find() are invalidated by create()/install() of a
+// previously-absent item -- no caller holds one across an install (they
+// re-find after staging).
 #pragma once
 
-#include <map>
-#include <optional>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -32,6 +35,13 @@ struct Copy {
 
 class KvStore {
  public:
+  // Capacity hint for the data directory (the number of data copies the
+  // site hosts), so bootstrap fills it without regrowth.
+  void reserve(size_t n_data) {
+    data_ids_.reserve(n_data);
+    data_.reserve(n_data);
+  }
+
   // Create a copy with the initial database state (writer txn 0).
   void create(ItemId item, Value initial);
 
@@ -50,11 +60,14 @@ class KvStore {
   std::vector<ItemId> unreadable_items() const; // ascending
   size_t unreadable_count() const { return unreadable_count_; }
   size_t size() const { return size_; }
+  // Host bytes held by the directory and slot arrays (capacity, not size).
+  size_t bytes() const;
 
   // Mutation observer (durable engine); null = no notifications.
   void set_sink(StorageSink* sink) { sink_ = sink; }
   // Drop every copy (a durable-engine crash discards the RAM image; the
   // checkpoint + log rebuild it at reboot). Not a sink-visible mutation.
+  // The directory stays, so the rebuild refills the same slots.
   void wipe();
 
  private:
@@ -63,14 +76,19 @@ class KvStore {
     bool present = false;
   };
 
+  // Position of the first directory id >= item.
+  size_t lower_index(ItemId item) const;
   const Slot* slot_of(ItemId item) const;
-  // Returns the slot for `item`, materializing storage for it (grows the
-  // dense arrays; never shrinks). Sets *created when the slot was absent.
+  Slot* slot_of(ItemId item) {
+    return const_cast<Slot*>(std::as_const(*this).slot_of(item));
+  }
+  // Returns the slot for `item`, adding it to the directory (or growing the
+  // NS vector) if needed. Sets *created when the copy was absent.
   Slot& ensure_slot(ItemId item, bool* created);
 
-  std::vector<Slot> data_;          // data items, direct-indexed
-  std::vector<Slot> ns_;            // NS copies, indexed by site
-  std::map<ItemId, Slot> other_;    // anything outside the two dense ranges
+  std::vector<ItemId> data_ids_; // ascending data-item ids
+  std::vector<Slot> data_;       // parallel to data_ids_
+  std::vector<Slot> ns_;         // NS copies, indexed by site
   size_t size_ = 0;
   size_t unreadable_count_ = 0;
   StorageSink* sink_ = nullptr;

@@ -7,18 +7,17 @@ namespace ddbs {
 
 WorkloadGen::WorkloadGen(const Config& cfg, WorkloadParams params,
                          uint64_t seed)
-    : params_(params),
-      rng_(seed),
-      zipf_(params.n_items > 0 ? params.n_items : cfg.n_items,
-            params.zipf_theta) {
+    : params_(params), rng_(seed) {
   if (params_.n_items <= 0) params_.n_items = cfg.n_items;
+  // The CDF has one entry per item; a uniform client never samples it.
+  if (params_.zipf_theta > 0) {
+    zipf_.emplace(params_.n_items, params_.zipf_theta);
+  }
 }
 
 ItemId WorkloadGen::pick_item() {
-  if (params_.zipf_theta <= 0) {
-    return rng_.uniform(0, params_.n_items - 1);
-  }
-  return zipf_.sample(rng_);
+  if (!zipf_) return rng_.uniform(0, params_.n_items - 1);
+  return zipf_->sample(rng_);
 }
 
 std::vector<LogicalOp> WorkloadGen::next() {

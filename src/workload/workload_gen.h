@@ -5,6 +5,8 @@
 // logical READ-FROM analysis crisp).
 #pragma once
 
+#include <optional>
+
 #include "common/config.h"
 #include "common/random.h"
 #include "txn/txn.h"
@@ -34,7 +36,7 @@ class WorkloadGen {
 
   WorkloadParams params_;
   Rng rng_;
-  ZipfGen zipf_;
+  std::optional<ZipfGen> zipf_; // only when zipf_theta > 0
   int64_t value_counter_ = 0;
 };
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/random.h"
 #include "core/client.h"
 #include "workload/runner.h"
+#include "workload/workload_gen.h"
 
 namespace ddbs {
 namespace {
@@ -129,6 +133,25 @@ TEST(WorkloadGen, TransferShape) {
   EXPECT_EQ(ops[0].item, ops[2].item);
   EXPECT_EQ(ops[1].item, ops[3].item);
   EXPECT_NE(ops[0].item, ops[1].item);
+}
+
+TEST(WorkloadGen, SkewedDrawsMatchAStandaloneZipfGen) {
+  Config cfg = cfg4();
+  WorkloadParams wp;
+  wp.n_items = 1'000;
+  wp.zipf_theta = 0.8;
+  WorkloadGen gen(cfg, wp, 11);
+  const ZipfGen zipf(1'000, 0.8);
+  Rng rng(11);
+  for (int t = 0; t < 200; ++t) {
+    ItemId a = zipf.sample(rng);
+    ItemId b = zipf.sample(rng);
+    while (b == a) b = zipf.sample(rng);
+    if (b < a) std::swap(a, b);
+    const auto ops = gen.next_transfer();
+    ASSERT_EQ(ops[0].item, a) << "transfer " << t;
+    ASSERT_EQ(ops[1].item, b) << "transfer " << t;
+  }
 }
 
 } // namespace

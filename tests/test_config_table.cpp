@@ -28,7 +28,7 @@ Config all_changed() {
   c.spooler_copies = 3;
   c.net_latency_min = 400;
   c.net_latency_max = 1'700;
-  c.msg_loss_prob = 0.25;
+  c.msg_loss_prob = 0.123456789; // more digits than a default ostream keeps
   c.rpc_timeout = 21'000;
   c.lock_timeout = 210'000;
   c.txn_timeout = 1'100'000;

@@ -108,5 +108,24 @@ TEST(ScaleBounds, ManyItemsRecoveryThroughput) {
   EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
 }
 
+TEST(ScaleBounds, CopyStoreBytesFollowHostedCopies) {
+  // A site's copy store holds the copies it hosts, not a slot per item of
+  // the database: 64 sites x 20k items at degree 3 is ~940 copies a site.
+  Config cfg;
+  cfg.n_sites = 64;
+  cfg.n_items = 20'000;
+  cfg.replication_degree = 3;
+  Cluster cluster(cfg, 95);
+  cluster.bootstrap();
+  size_t bytes = 0;
+  size_t hosted = 0;
+  for (SiteId s = 0; s < cfg.n_sites; ++s) {
+    bytes += cluster.site(s).stable().kv().bytes();
+    hosted += cluster.catalog().items_at(s).size();
+  }
+  EXPECT_EQ(hosted, 60'000u);
+  EXPECT_LE(bytes, 128 * hosted);
+}
+
 } // namespace
 } // namespace ddbs

@@ -49,6 +49,64 @@ TEST(KvStore, UnreadableInventory) {
   EXPECT_EQ(kv.unreadable_count(), 1u);
 }
 
+TEST(KvStore, OutOfOrderInstallKeepsInventoryAscending) {
+  KvStore kv;
+  for (ItemId x : {50, 10, 30}) kv.create(x, 0);
+  kv.install(20, 1, Version{1, 7}); // absent id lands between 10 and 30
+  kv.install(5, 1, Version{1, 7});  // ... and before the first
+  kv.install(60, 1, Version{1, 7}); // ... and after the last
+  EXPECT_EQ(kv.items(), (std::vector<ItemId>{5, 10, 20, 30, 50, 60}));
+  for (ItemId x : {60, 5, 30}) kv.mark_unreadable(x);
+  EXPECT_EQ(kv.unreadable_items(), (std::vector<ItemId>{5, 30, 60}));
+  EXPECT_EQ(kv.find(20)->value, 1);
+  EXPECT_EQ(kv.find(50)->value, 0);
+  EXPECT_EQ(kv.find(40), nullptr);
+  EXPECT_EQ(kv.find(0), nullptr);
+  EXPECT_EQ(kv.find(99), nullptr);
+}
+
+TEST(KvStore, WipeThenReinstallRestoresCounts) {
+  KvStore kv;
+  for (ItemId x = 0; x < 6; ++x) kv.create(2 * x, 0);
+  kv.mark_unreadable(4);
+  kv.mark_unreadable(8);
+  const size_t bytes = kv.bytes();
+  kv.wipe();
+  EXPECT_EQ(kv.size(), 0u);
+  EXPECT_EQ(kv.unreadable_count(), 0u);
+  EXPECT_TRUE(kv.items().empty());
+  EXPECT_TRUE(kv.unreadable_items().empty());
+  EXPECT_EQ(kv.find(4), nullptr);
+  // Replay, as the durable engine does after a crash: the directory kept
+  // its slots, so nothing is reallocated.
+  for (ItemId x = 5; x >= 0; --x) kv.install(2 * x, x, Version{1, 3});
+  kv.mark_unreadable(4);
+  kv.mark_unreadable(8);
+  EXPECT_EQ(kv.size(), 6u);
+  EXPECT_EQ(kv.unreadable_count(), 2u);
+  EXPECT_EQ(kv.unreadable_items(), (std::vector<ItemId>{4, 8}));
+  EXPECT_EQ(kv.bytes(), bytes);
+  EXPECT_EQ(kv.find(6)->value, 3);
+}
+
+TEST(KvStore, NsAndDataIdsCoexist) {
+  KvStore kv;
+  kv.create(ns_item(2), 1);
+  kv.create(7, 70);
+  kv.create(ns_item(0), 1);
+  kv.create(3, 30);
+  EXPECT_EQ(kv.size(), 4u);
+  EXPECT_EQ(kv.items(),
+            (std::vector<ItemId>{3, 7, ns_item(0), ns_item(2)}));
+  EXPECT_EQ(kv.find(ns_item(1)), nullptr);
+  kv.install(ns_item(2), 4, Version{2, 9});
+  EXPECT_EQ(kv.find(ns_item(2))->value, 4);
+  EXPECT_EQ(kv.find(7)->value, 70);
+  kv.mark_unreadable(ns_item(0));
+  kv.mark_unreadable(7);
+  EXPECT_EQ(kv.unreadable_items(), (std::vector<ItemId>{7, ns_item(0)}));
+}
+
 TEST(VersionOrdering, LexicographicOnCounterThenWriter) {
   EXPECT_LT((Version{1, 5}), (Version{2, 1}));
   EXPECT_LT((Version{2, 1}), (Version{2, 3}));

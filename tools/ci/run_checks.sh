@@ -89,11 +89,23 @@ step "footprint-NS scale smoke (128 sites x 100k items, oracles on)"
 # protocol would read 128 NS entries per transaction: one crash/recover
 # cycle, invariant oracles + replica convergence judged at quiescence
 # (ddbs_sweep exits nonzero on any violation or missed convergence).
-"$repo/build/tools/ddbs_sweep" \
+# Host memory must follow the copies each site hosts, not n_items: the
+# run fails above a 128 MB peak RSS (about 40 MB with compact copy
+# stores; a slot per item per site took about 600 MB).
+python3 - "$repo/build/tools/ddbs_sweep" \
   --sites=128 --items=100000 --degree=3 --footprint-ns=on \
   --seeds=1 -j "$jobs" --clients=1 --duration-ms=500 \
   --crash=5@150 --recover=5@300 \
-  --out="$repo/build/SWEEP_scale_smoke.json" >/dev/null
+  --out="$repo/build/SWEEP_scale_smoke.json" <<'PY'
+import resource, subprocess, sys
+rc = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"footprint-NS scale smoke: peak RSS {peak_mb:.1f} MB (limit 128)")
+if rc != 0:
+    sys.exit(rc)
+if peak_mb > 128:
+    sys.exit("footprint-NS scale smoke: peak RSS above 128 MB")
+PY
 
 step "watchdog self-test (planted NS-lock stall caught, clean run quiet)"
 # Self-validation of the no-progress watchdog. --planted-stall restores
