@@ -265,10 +265,7 @@ constexpr ConfigField kFields[] = {
     row<&Config::local_op_cost>({.key = "local_op_cost"}),
     row<&Config::trace_capacity>({
         .key = "trace_capacity", .flag = "--trace-cap", .arg = "N",
-        .help = "trace ring capacity in events (default 16384)"}),
-    row<&Config::span_capacity>({
-        .key = "span_capacity", .flag = "--span-cap", .arg = "N",
-        .help = "span ring capacity in events (default 32768)"}),
+        .help = "trace ring capacity in events (default 32768)"}),
     row<&Config::timeseries_bucket>({
         .key = "timeseries_bucket", .flag = "--bucket-ms", .arg = "N",
         .help = "time-series bucket width (default 250; 0 off)",

@@ -313,8 +313,6 @@ std::string RunReport::to_json() const {
     w.begin_object();
     w.kv("recorded", run.trace_recorded);
     w.kv("dropped", run.trace_dropped);
-    w.kv("spans_recorded", run.span_recorded);
-    w.kv("spans_dropped", run.span_dropped);
     w.end_object();
     w.end_object();
   }

@@ -148,12 +148,10 @@ class RunReport {
     std::vector<RecoveryTimeline> recoveries;
     std::vector<RecoveryEpisode> episodes;
     TimeSeriesData series;
-    // Ring health: totals and overwrite counts for the flat trace ring
-    // and the span log, so a wrapped ring is visible in every report.
+    // Ring health: total and overwrite count of the trace ring, so a
+    // wrapped ring is visible in every report.
     int64_t trace_recorded = 0;
     int64_t trace_dropped = 0;
-    int64_t span_recorded = 0;
-    int64_t span_dropped = 0;
   };
 
   // Append a run. Scalars are the bench's headline numbers (availability,

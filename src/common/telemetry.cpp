@@ -269,26 +269,13 @@ std::string build_diagnostic_bundle(ClusterRuntime& rt,
     w.begin_object();
     w.kv("at", static_cast<int64_t>(e.at));
     w.kv("kind", to_string(e.kind));
+    w.kv("phase", static_cast<int64_t>(e.phase));
+    w.kv("span", static_cast<uint64_t>(e.span));
+    w.kv("parent", static_cast<uint64_t>(e.parent));
     w.kv("site", static_cast<int64_t>(e.site));
     w.kv("txn", static_cast<uint64_t>(e.txn));
     w.kv("a", e.a);
     w.kv("b", e.b);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("span_tail");
-  w.begin_array();
-  for (const SpanEvent& e : rt.span_tail(opts.bundle_span_tail)) {
-    w.begin_object();
-    w.kv("at", static_cast<int64_t>(e.at));
-    w.kv("span", static_cast<uint64_t>(e.span));
-    w.kv("parent", static_cast<uint64_t>(e.parent));
-    w.kv("kind", to_string(e.kind));
-    w.kv("phase", static_cast<int64_t>(e.phase));
-    w.kv("site", static_cast<int64_t>(e.site));
-    w.kv("txn", static_cast<uint64_t>(e.txn));
-    w.kv("arg", e.arg);
     w.end_object();
   }
   w.end_array();

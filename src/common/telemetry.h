@@ -22,7 +22,7 @@
 //   control-retry-climb  type-1 attempts at or past `control_retry_budget`
 //                        with the site still not up
 // On the first stall tick it freezes a diagnostic bundle (config echo,
-// trace/span ring tails, per-site waits-for edges, NS-lock holders,
+// trace ring tail, per-site waits-for edges, NS-lock holders,
 // session vectors, pending RPC counts), optionally writes it to
 // `bundle_path`, fires on_stall, and stops ticking; the driving tool
 // aborts the run with a distinct exit code (4 in ddbs_sim/ddbs_soak).
@@ -53,9 +53,8 @@ struct TelemetryOptions {
   SimTime recovery_phase_budget = 8'000'000;
   int64_t control_retry_budget = 64;
 
-  // Diagnostic bundle shape.
-  size_t bundle_trace_tail = 256;
-  size_t bundle_span_tail = 256;
+  // Diagnostic bundle shape (trace tail in events, span events included).
+  size_t bundle_trace_tail = 512;
   std::string bundle_path; // "" = keep in memory only
 };
 
@@ -118,7 +117,7 @@ class TelemetryStream {
 // Freeze the runtime's current state into a replayable diagnostic JSON
 // document: config echo, stall verdicts, per-site protocol state
 // (mode/session/NS vector, waits-for edges, NS-lock holders, pending
-// RPCs), trace-ring and span-ring tails. Standalone so tests can dump a
+// RPCs), trace-ring tail (spans included). Standalone so tests can dump a
 // bundle without arming a stream.
 std::string build_diagnostic_bundle(ClusterRuntime& rt,
                                     const TelemetryOptions& opts,

@@ -24,7 +24,7 @@ Cluster::Cluster(Config cfg, uint64_t seed)
   for (SiteId s = 0; s < cfg_.n_sites; ++s) {
     sites_.push_back(std::make_unique<Site>(
         s, cfg_, sched_, net_, cat_, metrics_,
-        cfg_.record_history ? &recorder_ : nullptr, &tracer_, &spans_));
+        cfg_.record_history ? &recorder_ : nullptr, &tracer_));
   }
 }
 
@@ -158,19 +158,11 @@ RunReport::Run& Cluster::report_run(RunReport& report,
   run.series = series_.data(sched_.now());
   run.trace_recorded = static_cast<int64_t>(tracer_.recorded());
   run.trace_dropped = static_cast<int64_t>(tracer_.dropped());
-  run.span_recorded = static_cast<int64_t>(spans_.recorded());
-  run.span_dropped = static_cast<int64_t>(spans_.dropped());
   return run;
 }
 
 std::vector<TraceEvent> Cluster::trace_tail(size_t n) const {
   std::vector<TraceEvent> all = tracer_.snapshot();
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
-  return all;
-}
-
-std::vector<SpanEvent> Cluster::span_tail(size_t n) const {
-  std::vector<SpanEvent> all = spans_.snapshot();
   if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
   return all;
 }

@@ -29,7 +29,6 @@
 #include "recovery/episode.h"
 #include "replication/catalog.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 #include "verify/history.h"
 #include "verify/online_verifier.h"
@@ -93,8 +92,8 @@ class Cluster : public ClusterRuntime {
   using ClusterRuntime::history;
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
-  SpanLog& spans() { return spans_; }
-  const SpanLog& spans() const { return spans_; }
+  // Alias of tracer(): perfbench reads spans().recorded().
+  const Tracer& spans() const { return tracer_; }
   const EpisodeTracker& episodes() const { return episodes_; }
   const TimeSeries& timeseries() const { return series_; }
   // Non-null when cfg.online_verify (and record_history) are set.
@@ -126,9 +125,8 @@ class Cluster : public ClusterRuntime {
   bool replicas_converged(std::string* why = nullptr) const override;
 
   std::string spans_chrome_json() const override {
-    return spans_.to_chrome_json(&tracer_);
+    return to_chrome_json(tracer_.snapshot(), sched_.now());
   }
-  std::string trace_json() const override { return tracer_.to_json(); }
 
   // Pending events minus the not-yet-fired global control actions, which
   // on the parallel backend live outside the shard queues entirely.
@@ -136,7 +134,6 @@ class Cluster : public ClusterRuntime {
     return sched_.pending() - pending_globals_;
   }
   std::vector<TraceEvent> trace_tail(size_t n) const override;
-  std::vector<SpanEvent> span_tail(size_t n) const override;
 
  private:
   Config cfg_;
@@ -147,7 +144,6 @@ class Cluster : public ClusterRuntime {
   std::unique_ptr<OnlineVerifier> verifier_;
   Scheduler sched_;
   Tracer tracer_{sched_, cfg_.trace_capacity};
-  SpanLog spans_{sched_, cfg_.span_capacity};
   EpisodeTracker episodes_{cfg_.n_sites};
   TimeSeries series_{cfg_.timeseries_bucket, cfg_.n_sites};
   Network net_;

@@ -54,8 +54,8 @@ ParallelCluster::ParallelCluster(Config cfg, uint64_t seed)
     sh.tracer.add_sink(&sh.episodes);
     sh.tracer.add_sink(&sh.series);
     // Shard-local span ids, globally unique: offset + 1 + i * n_shards.
-    sh.spans.set_id_stride(static_cast<SpanId>(n_shards_),
-                           static_cast<SpanId>(k));
+    sh.tracer.set_id_stride(static_cast<SpanId>(n_shards_),
+                            static_cast<SpanId>(k));
   }
   rings_.reserve(static_cast<size_t>(n_shards_) *
                  static_cast<size_t>(n_shards_));
@@ -66,7 +66,7 @@ ParallelCluster::ParallelCluster(Config cfg, uint64_t seed)
     Shard& sh = *shards_[static_cast<size_t>(shard_of_site(s))];
     sites_.push_back(std::make_unique<Site>(
         s, cfg_, sh.sched, net_, cat_, sh.metrics,
-        cfg_.record_history ? &recorder_ : nullptr, &sh.tracer, &sh.spans));
+        cfg_.record_history ? &recorder_ : nullptr, &sh.tracer));
   }
   if (n_shards_ > 1) {
     threads_.reserve(static_cast<size_t>(n_shards_));
@@ -405,17 +405,10 @@ RunReport::Run& ParallelCluster::report_run(RunReport& report,
   }
   run.series = std::move(merged);
 
-  int64_t tr = 0, td = 0, sr = 0, sd = 0;
   for (const auto& sh : shards_) {
-    tr += static_cast<int64_t>(sh->tracer.recorded());
-    td += static_cast<int64_t>(sh->tracer.dropped());
-    sr += static_cast<int64_t>(sh->spans.recorded());
-    sd += static_cast<int64_t>(sh->spans.dropped());
+    run.trace_recorded += static_cast<int64_t>(sh->tracer.recorded());
+    run.trace_dropped += static_cast<int64_t>(sh->tracer.dropped());
   }
-  run.trace_recorded = tr;
-  run.trace_dropped = td;
-  run.span_recorded = sr;
-  run.span_dropped = sd;
   return run;
 }
 
@@ -453,56 +446,23 @@ void ParallelCluster::add_perf_scalars(RunReport::Run& run) const {
                            static_cast<double>(cat_.bytes()));
 }
 
-std::string ParallelCluster::spans_chrome_json() const {
-  // Splice the shards' traceEvents arrays into one document; event order
-  // within a shard is ring order, shards are concatenated in shard order.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const std::string open_tag = "\"traceEvents\":[";
+std::vector<TraceEvent> ParallelCluster::merged_trace() const {
+  std::vector<TraceEvent> all;
   for (const auto& sh : shards_) {
-    const std::string one = sh->spans.to_chrome_json(&sh->tracer);
-    const size_t open = one.find(open_tag);
-    const size_t close = one.rfind(']');
-    if (open == std::string::npos || close == std::string::npos) continue;
-    const size_t begin = open + open_tag.size();
-    if (close <= begin) continue;
-    std::string body = one.substr(begin, close - begin);
-    // Trim the trailing newline to_chrome_json leaves before its ']'.
-    while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-      body.pop_back();
-    }
-    if (body.empty()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += body;
+    std::vector<TraceEvent> one = sh->tracer.snapshot();
+    all.insert(all.end(), one.begin(), one.end());
   }
-  out += "\n]}\n";
-  return out;
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.at < b.at;
+                   });
+  return all;
 }
 
-std::string ParallelCluster::trace_json() const {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& sh : shards_) {
-    std::string one = sh->tracer.to_json();
-    // Strip "[" ... "]\n" and keep the element list.
-    const size_t open = one.find('[');
-    const size_t close = one.rfind(']');
-    if (open == std::string::npos || close == std::string::npos ||
-        close <= open + 1) {
-      continue;
-    }
-    std::string body = one.substr(open + 1, close - open - 1);
-    while (!body.empty() && (body.back() == '\n' || body.back() == ' ')) {
-      body.pop_back();
-    }
-    if (body.empty()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += body;
-  }
-  out += "\n]\n";
-  return out;
+std::string ParallelCluster::spans_chrome_json() const {
+  // One exporter over the merged stream: a DM slice on one shard finds
+  // the root of its parent chain even when the coordinator ran on another.
+  return to_chrome_json(merged_trace(), now_);
 }
 
 uint64_t ParallelCluster::pending_site_events() const {
@@ -516,29 +476,7 @@ uint64_t ParallelCluster::pending_site_events() const {
 }
 
 std::vector<TraceEvent> ParallelCluster::trace_tail(size_t n) const {
-  std::vector<TraceEvent> all;
-  for (const auto& sh : shards_) {
-    std::vector<TraceEvent> one = sh->tracer.snapshot();
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.at < b.at;
-                   });
-  if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
-  return all;
-}
-
-std::vector<SpanEvent> ParallelCluster::span_tail(size_t n) const {
-  std::vector<SpanEvent> all;
-  for (const auto& sh : shards_) {
-    std::vector<SpanEvent> one = sh->spans.snapshot();
-    all.insert(all.end(), one.begin(), one.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     return a.at < b.at;
-                   });
+  std::vector<TraceEvent> all = merged_trace();
   if (all.size() > n) all.erase(all.begin(), all.end() - static_cast<long>(n));
   return all;
 }

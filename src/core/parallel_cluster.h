@@ -1,6 +1,6 @@
 // Site-parallel execution backend: the cluster's sites are split into
 // contiguous shards (Config::shard_count), each shard runs on its own
-// worker thread with a private Scheduler, Metrics, Tracer, SpanLog,
+// worker thread with a private Scheduler, Metrics, Tracer,
 // EpisodeTracker and TimeSeries -- the per-event hot path touches no
 // shared mutable state at all. Cross-shard messages travel through one
 // SPSC mailbox ring per (src, dst) shard pair and are re-injected into
@@ -47,7 +47,6 @@
 #include "recovery/episode.h"
 #include "replication/catalog.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/spsc_ring.h"
 #include "sim/trace.h"
 #include "verify/history.h"
@@ -108,13 +107,11 @@ class ParallelCluster : public ClusterRuntime, private CrossShardSink {
     return runtime_impl::replicas_converged(*this, why);
   }
   std::string spans_chrome_json() const override;
-  std::string trace_json() const override;
 
   // Shard queue depths plus undrained mailbox-ring messages: the parallel
   // mirror of the DES's (pending - queued globals). Driving thread only.
   uint64_t pending_site_events() const override;
   std::vector<TraceEvent> trace_tail(size_t n) const override;
-  std::vector<SpanEvent> span_tail(size_t n) const override;
 
   int shard_count() const { return n_shards_; }
 
@@ -124,14 +121,13 @@ class ParallelCluster : public ClusterRuntime, private CrossShardSink {
   struct Shard {
     Shard(const Config& cfg, SiteId first, SiteId end)
         : first_site(first), end_site(end), tracer(sched, cfg.trace_capacity),
-          spans(sched, cfg.span_capacity), episodes(cfg.n_sites),
+          episodes(cfg.n_sites),
           series(cfg.timeseries_bucket, cfg.n_sites) {}
     SiteId first_site;
     SiteId end_site; // exclusive
     Scheduler sched;
     Metrics metrics;
     Tracer tracer;
-    SpanLog spans;
     EpisodeTracker episodes;
     TimeSeries series;
     // Drain scratch, reused across windows.
@@ -154,6 +150,10 @@ class ParallelCluster : public ClusterRuntime, private CrossShardSink {
   // the scheduler list the Network's sharded constructor needs. Runs in
   // the member-init list, after site_shard_ and before net_.
   std::vector<Scheduler*> build_shards();
+
+  // Every shard's retained trace events, merged by timestamp (stable, so
+  // shard order breaks ties). Driving thread only.
+  std::vector<TraceEvent> merged_trace() const;
 
   // CrossShardSink: producer side of the mailbox rings (called by the
   // Network on a shard thread mid-window, or on the driving thread while

@@ -32,7 +32,6 @@
 #include "net/network.h"
 #include "replication/catalog.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 #include "verify/history.h"
 
@@ -108,12 +107,9 @@ class ClusterRuntime {
   virtual double events_per_sec() const = 0;
   virtual void add_perf_scalars(RunReport::Run& run) const = 0;
   virtual bool replicas_converged(std::string* why = nullptr) const = 0;
-  // Chrome trace-viewer JSON of the span/trace rings (all shards merged on
-  // the parallel backend).
+  // Chrome trace-viewer JSON of the trace ring (all shards merged on the
+  // parallel backend, so causal lanes resolve across shards).
   virtual std::string spans_chrome_json() const = 0;
-  // The structured trace ring as a JSON array (shards concatenated in
-  // shard order on the parallel backend).
-  virtual std::string trace_json() const = 0;
 
   // ---- live telemetry hooks (common/telemetry.h) ----
   // Pending simulation events attributable to site activity. Excludes
@@ -125,9 +121,6 @@ class ClusterRuntime {
   // The most recent `n` retained trace events, oldest first (shards merged
   // by timestamp on the parallel backend). Diagnostic bundles only.
   virtual std::vector<TraceEvent> trace_tail(size_t n) const = 0;
-  // The most recent `n` retained span events, oldest first (shards merged
-  // by timestamp on the parallel backend). Diagnostic bundles only.
-  virtual std::vector<SpanEvent> span_tail(size_t n) const = 0;
 };
 
 // Construct the backend selected by cfg.n_threads: Cluster when 1,

@@ -45,7 +45,7 @@ void FailureDetector::start() {
   const auto n = static_cast<size_t>(env_.cfg->n_sites);
   misses_.assign(n, 0);
   declaring_.clear();
-  for (const auto& [s, span] : verifying_) SpanLog::close(env_.spans, span);
+  for (const auto& [s, span] : verifying_) Tracer::close(env_.tracer, span);
   verifying_.clear();
   last_pong_.assign(n, kNoTime);
   started_at_ = env_.sched->now(); // silence is measured from here at first
@@ -175,24 +175,21 @@ void FailureDetector::begin_verify(SiteId s, int attempts) {
   // One chain per suspect at a time; further hints while it runs are
   // folded into it (they would reach the same verdict from the same
   // pings anyway).
-  const SpanId span =
-      SpanLog::open(env_.spans, SpanKind::kDetectorVerify, env_.self, 0, s);
-  if (!verifying_.emplace(s, span).second) {
-    SpanLog::close(env_.spans, span);
-    return;
-  }
+  if (verifying_.count(s)) return;
   env_.metrics->inc(env_.metrics->id.fd_verify_chains);
-  Tracer::emit(env_.tracer, TraceKind::kDetectorVerify, env_.self, 0, s);
+  const SpanId span =
+      Tracer::open(env_.tracer, TraceKind::kDetectorVerify, env_.self, 0, s);
+  verifying_.emplace(s, span);
   // The chain's pings (and anything they lead to, e.g. the type-2 control
   // transaction of a declaration) nest under the chain's span.
-  SpanScope scope(env_.spans, span);
+  SpanScope scope(env_.tracer, span);
   verify(s, attempts);
 }
 
 void FailureDetector::resolve_verify(SiteId s) {
   auto it = verifying_.find(s);
   if (it == verifying_.end()) return;
-  SpanLog::close(env_.spans, it->second);
+  Tracer::close(env_.tracer, it->second);
   verifying_.erase(it);
 }
 

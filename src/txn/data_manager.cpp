@@ -27,8 +27,7 @@ void set_dm_trace_txn(TxnId t) { g_trace_txn = t; }
 DataManager::DataManager(SiteId self, const Config& cfg, Scheduler& sched,
                          RpcEndpoint& rpc, StableStorage& stable,
                          SiteState& state, Metrics& metrics,
-                         HistoryRecorder* recorder, Tracer* tracer,
-                         SpanLog* spans)
+                         HistoryRecorder* recorder, Tracer* tracer)
     : self_(self),
       cfg_(cfg),
       sched_(sched),
@@ -37,8 +36,7 @@ DataManager::DataManager(SiteId self, const Config& cfg, Scheduler& sched,
       state_(state),
       metrics_(metrics),
       recorder_(recorder),
-      tracer_(tracer),
-      spans_(spans) {}
+      tracer_(tracer) {}
 
 // ---------------------------------------------------------------------------
 // dispatch
@@ -172,11 +170,11 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
     // Must wait.
     chain->rid = rid;
     if (chain->wait_started == kNoTime) chain->wait_started = sched_.now();
-    if (chain->wait_span == 0 && spans_ != nullptr) {
+    if (chain->wait_span == 0 && tracer_ != nullptr) {
       // Lock-wait span under the requesting coordinator: the first real
       // wait opens it, chain resolution (either way) closes it.
-      chain->wait_span = spans_->begin_under(
-          chain->parent_span, SpanKind::kLockWait, self_, chain->txn, item);
+      chain->wait_span = tracer_->begin_under(
+          chain->parent_span, TraceKind::kLockWait, self_, chain->txn, item);
     }
     if (chain->timer == 0) {
       const uint64_t epoch = boot_epoch_;
@@ -198,7 +196,7 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
                                               c->locks.front().first),
                        c->locks.size());
         }
-        SpanLog::close(spans_, c->wait_span);
+        Tracer::close(tracer_, c->wait_span);
         c->wait_span = 0;
         reply_code(c->env, Code::kLockTimeout);
         auto& vec = chains_[c->txn];
@@ -219,7 +217,7 @@ void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
         .add(static_cast<double>(sched_.now() - chain->wait_started));
     chain->wait_started = kNoTime;
   }
-  SpanLog::close(spans_, chain->wait_span);
+  Tracer::close(tracer_, chain->wait_span);
   chain->wait_span = 0;
   auto& vec = chains_[chain->txn];
   vec.erase(std::remove(vec.begin(), vec.end(), chain), vec.end());
@@ -235,7 +233,7 @@ void DataManager::fail_chains_of(TxnId txn, Code code) {
   for (auto& c : chains) {
     if (c->rid != 0) lm_.cancel(c->rid);
     if (c->timer != 0) sched_.cancel(c->timer);
-    SpanLog::close(spans_, c->wait_span);
+    Tracer::close(tracer_, c->wait_span);
     c->wait_span = 0;
     reply_code(c->env, code);
   }
@@ -325,11 +323,9 @@ void DataManager::on_read(const Envelope& env) {
   if (c != Code::kOk) {
     metrics_.inc(metrics_.id.dm_read_reject[static_cast<size_t>(c)]);
     if (c == Code::kSessionMismatch) {
-      Tracer::emit(tracer_, TraceKind::kSessionReject, self_, req.txn,
-                   static_cast<int64_t>(state_.session),
-                   static_cast<int64_t>(req.expected_session));
-      SpanLog::note_under(spans_, env.span, SpanKind::kSessionReject, self_,
-                          req.txn, static_cast<int64_t>(state_.session));
+      Tracer::emit_under(tracer_, env.span, TraceKind::kSessionReject, self_,
+                         req.txn, static_cast<int64_t>(state_.session),
+                         static_cast<int64_t>(req.expected_session));
     }
     reply_code(env, c);
     return;
@@ -409,11 +405,9 @@ void DataManager::on_write(const Envelope& env) {
   if (c != Code::kOk) {
     metrics_.inc(metrics_.id.dm_write_reject[static_cast<size_t>(c)]);
     if (c == Code::kSessionMismatch) {
-      Tracer::emit(tracer_, TraceKind::kSessionReject, self_, req.txn,
-                   static_cast<int64_t>(state_.session),
-                   static_cast<int64_t>(req.expected_session));
-      SpanLog::note_under(spans_, env.span, SpanKind::kSessionReject, self_,
-                          req.txn, static_cast<int64_t>(state_.session));
+      Tracer::emit_under(tracer_, env.span, TraceKind::kSessionReject, self_,
+                         req.txn, static_cast<int64_t>(state_.session),
+                         static_cast<int64_t>(req.expected_session));
     }
     reply_code(env, c);
     return;
@@ -446,8 +440,8 @@ void DataManager::on_write(const Envelope& env) {
     w.written = r.written_sites;
     ctx.writes[r.item] = std::move(w);
     metrics_.inc(metrics_.id.dm_writes_staged);
-    SpanLog::note_under(spans_, env.span, SpanKind::kStage, self_, r.txn,
-                        r.item);
+    Tracer::emit_under(tracer_, env.span, TraceKind::kStage, self_, r.txn,
+                       r.item);
     rpc_.respond(env, WriteResp{r.txn, r.item, Code::kOk});
   });
 }
@@ -493,11 +487,9 @@ void DataManager::on_batch(const Envelope& env) {
     write_session = Code::kOk;
   }
   if (session == Code::kSessionMismatch) {
-    Tracer::emit(tracer_, TraceKind::kSessionReject, self_, req.txn,
-                 static_cast<int64_t>(state_.session),
-                 static_cast<int64_t>(req.expected_session));
-    SpanLog::note_under(spans_, env.span, SpanKind::kSessionReject, self_,
-                        req.txn, static_cast<int64_t>(state_.session));
+    Tracer::emit_under(tracer_, env.span, TraceKind::kSessionReject, self_,
+                       req.txn, static_cast<int64_t>(state_.session),
+                       static_cast<int64_t>(req.expected_session));
   }
   bool any_admitted = false;
   for (size_t i = 0; i < n; ++i) {
@@ -598,8 +590,8 @@ void DataManager::on_batch(const Envelope& env) {
             w.written = op.written_sites;
             ctx.writes[op.item] = std::move(w);
             metrics_.inc(metrics_.id.dm_writes_staged);
-            SpanLog::note_under(spans_, env.span, SpanKind::kStage, self_,
-                                r.txn, op.item);
+            Tracer::emit_under(tracer_, env.span, TraceKind::kStage, self_,
+                               r.txn, op.item);
             resp.results[i].code = Code::kOk;
             continue;
           }
@@ -793,8 +785,8 @@ void DataManager::apply_commit(
   if (!ctx.writes.empty()) {
     // The ambient span here is the CommitReq's (on_commit path) or the
     // termination chain's -- either way the causal origin of this apply.
-    SpanLog::note(spans_, SpanKind::kApply, self_, txn,
-                  static_cast<int64_t>(ctx.writes.size()));
+    Tracer::emit(tracer_, TraceKind::kApply, self_, txn,
+                 static_cast<int64_t>(ctx.writes.size()));
   }
   for (const auto& [item, w] : ctx.writes) {
     install_write(txn, item, w, w.is_copier ? 0 : counter_of(item));

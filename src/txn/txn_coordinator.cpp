@@ -22,17 +22,16 @@ CoordinatorBase::CoordinatorBase(TxnId txn, TxnKind kind,
       metrics_(*env.metrics),
       recorder_(env.recorder),
       tracer_(env.tracer),
-      spans_(env.spans),
       started_(env.sched->now()) {
   if (recorder_) recorder_->set_kind(txn_, kind_);
   // The ambient span at construction time becomes the parent: a copier
   // launched from a recovery episode nests under it, a user transaction
   // submitted by the workload is a root.
-  const SpanKind sk = kind_ == TxnKind::kUser      ? SpanKind::kUserTxn
-                      : kind_ == TxnKind::kCopier  ? SpanKind::kCopier
-                      : kind_ == TxnKind::kControlUp ? SpanKind::kControlUp
-                                                     : SpanKind::kControlDown;
-  span_ = SpanLog::open(spans_, sk, self_, txn_);
+  const TraceKind sk = kind_ == TxnKind::kUser       ? TraceKind::kUserTxn
+                       : kind_ == TxnKind::kCopier    ? TraceKind::kCopier
+                       : kind_ == TxnKind::kControlUp ? TraceKind::kControlUp
+                                                      : TraceKind::kControlDown;
+  span_ = Tracer::open(tracer_, sk, self_, txn_);
 }
 
 CoordinatorBase::~CoordinatorBase() {
@@ -40,7 +39,7 @@ CoordinatorBase::~CoordinatorBase() {
   // Cancelling an already-answered request is a no-op, so the whole send
   // history can be swept without tracking completion.
   for (uint64_t id : rpcs_) rpc_.cancel_request(id);
-  SpanLog::close(spans_, span_);
+  Tracer::close(tracer_, span_);
 }
 
 uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
@@ -54,7 +53,7 @@ uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
 
 void CoordinatorBase::schedule(SimTime delay, EventFn fn) {
   timers_.push_back(sched_.after(delay, [this, fn = std::move(fn)]() mutable {
-    SpanScope scope(spans_, span_);
+    SpanScope scope(tracer_, span_);
     fn();
   }));
 }

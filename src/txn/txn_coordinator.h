@@ -21,7 +21,6 @@
 #include "replication/ns_view.h"
 #include "replication/session.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 #include "storage/stable_storage.h"
 #include "txn/txn.h"
@@ -40,7 +39,6 @@ struct CoordinatorEnv {
   Metrics* metrics = nullptr;
   HistoryRecorder* recorder = nullptr;
   Tracer* tracer = nullptr; // may be null: tracing disabled
-  SpanLog* spans = nullptr; // may be null: span tracing disabled
 };
 
 class CoordinatorBase {
@@ -60,7 +58,7 @@ class CoordinatorBase {
   // from the initial step inherits the span. Call sites use this instead
   // of start() directly.
   void launch_start() {
-    SpanScope scope(spans_, span_);
+    SpanScope scope(tracer_, span_);
     start();
   }
 
@@ -176,7 +174,6 @@ class CoordinatorBase {
   Metrics& metrics_;
   HistoryRecorder* recorder_;
   Tracer* tracer_;
-  SpanLog* spans_;
   SpanId span_ = 0; // this transaction's causal span (0 when disabled)
 
   void trace(TraceKind k, int64_t a = 0, int64_t b = 0) {

@@ -49,7 +49,6 @@ Config all_changed() {
   c.disk_queue_depth = 2;
   c.local_op_cost = 40;
   c.trace_capacity = 1'000;
-  c.span_capacity = 2'000;
   c.timeseries_bucket = 125'000;
   c.record_history = false;
   c.online_verify = true;
@@ -97,7 +96,6 @@ void expect_same(const Config& a, const Config& b) {
   EXPECT_EQ(a.disk_queue_depth, b.disk_queue_depth);
   EXPECT_EQ(a.local_op_cost, b.local_op_cost);
   EXPECT_EQ(a.trace_capacity, b.trace_capacity);
-  EXPECT_EQ(a.span_capacity, b.span_capacity);
   EXPECT_EQ(a.timeseries_bucket, b.timeseries_bucket);
   EXPECT_EQ(a.record_history, b.record_history);
   EXPECT_EQ(a.online_verify, b.online_verify);

@@ -1,7 +1,7 @@
-// Recovery-episode folding, the availability time series, and the causal
-// span log.
+// Recovery-episode folding, the availability time series, and the Chrome
+// export of the trace stream.
 //
-// The synthetic tests drive EpisodeTracker / TimeSeries / SpanLog directly
+// The synthetic tests drive EpisodeTracker / TimeSeries directly
 // with hand-scheduled trace events, pinning the folding rules: phase
 // ordering, retry counting, overlap attribution, false-suspicion handling,
 // backlog-curve shape and the ring/cap semantics. The cluster tests prove
@@ -20,7 +20,6 @@
 #include "json_test_util.h"
 #include "recovery/episode.h"
 #include "sim/scheduler.h"
-#include "sim/span.h"
 #include "sim/trace.h"
 
 namespace ddbs {
@@ -428,83 +427,6 @@ TEST(TimeSeries, ZeroWidthDisablesRecording) {
 }
 
 // --------------------------------------------------------------------------
-// SpanLog: nesting, ambient scope, null-safety, ring semantics.
-
-TEST(SpanLog, NestsChildrenUnderAmbientSpan) {
-  Scheduler sched;
-  SpanLog log(sched, 32);
-  const SpanId root = log.begin(SpanKind::kUserTxn, 0, 42);
-  EXPECT_NE(root, 0u);
-  EXPECT_EQ(log.current(), 0u); // begin() does not install the span
-  SpanId child = 0;
-  {
-    SpanScope scope(&log, root);
-    EXPECT_EQ(log.current(), root);
-    child = log.begin(SpanKind::kLockWait, 1, 42);
-    log.instant(SpanKind::kStage, 1, 42, /*arg=*/7);
-  }
-  EXPECT_EQ(log.current(), 0u); // scope restored
-  log.end(child);
-  log.end(root);
-
-  const auto events = log.snapshot();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].phase, 0);
-  EXPECT_EQ(events[0].parent, 0u); // root has no parent
-  EXPECT_EQ(events[1].kind, SpanKind::kLockWait);
-  EXPECT_EQ(events[1].parent, root); // ambient parent captured
-  EXPECT_EQ(events[2].kind, SpanKind::kStage);
-  EXPECT_EQ(events[2].phase, 2);
-  EXPECT_EQ(events[2].parent, root);
-  EXPECT_EQ(events[2].arg, 7);
-  EXPECT_EQ(events[3].phase, 1);
-  EXPECT_EQ(events[3].span, child);
-  EXPECT_EQ(events[4].span, root);
-}
-
-TEST(SpanLog, ExplicitParentOverridesAmbient) {
-  Scheduler sched;
-  SpanLog log(sched, 32);
-  const SpanId a = log.begin(SpanKind::kUserTxn, 0);
-  const SpanId b = log.begin_under(a, SpanKind::kCopier, 1);
-  log.instant_under(b, SpanKind::kApply, 1);
-  const auto events = log.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[1].parent, a);
-  EXPECT_EQ(events[2].parent, b);
-}
-
-TEST(SpanLog, NullLogIsSafeEverywhere) {
-  EXPECT_EQ(SpanLog::open(nullptr, SpanKind::kUserTxn, 0), 0u);
-  SpanLog::close(nullptr, 3); // no crash
-  SpanLog::note(nullptr, SpanKind::kStage, 0);
-  SpanLog::note_under(nullptr, 9, SpanKind::kApply, 0);
-  SpanScope scope(nullptr, 5); // no crash, no effect
-}
-
-TEST(SpanLog, RingWrapsAndCountsDropped) {
-  Scheduler sched;
-  SpanLog log(sched, 4);
-  std::vector<SpanId> ids;
-  for (int i = 0; i < 5; ++i) {
-    ids.push_back(log.begin(SpanKind::kUserTxn, 0, 100 + i));
-  }
-  for (SpanId id : ids) log.end(id);
-  EXPECT_EQ(log.recorded(), 10u);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.dropped(), 6u);
-  // Newest events survive: the four end events.
-  const auto events = log.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (const SpanEvent& e : events) EXPECT_EQ(e.phase, 1);
-
-  log.clear();
-  EXPECT_EQ(log.recorded(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
-  EXPECT_EQ(log.size(), 0u);
-}
-
-// --------------------------------------------------------------------------
 // The whole pipeline on a real cluster.
 
 // A quiet crash-recover scenario: no client load, so the type-2 control
@@ -551,7 +473,6 @@ TEST(EpisodeReport, ClusterRunProducesOrderedEpisodeAndSeries) {
   const JsonObject& trace = run.at("trace").obj();
   EXPECT_GT(trace.at("recorded").num(), 0.0);
   EXPECT_GE(trace.at("dropped").num(), 0.0);
-  EXPECT_GT(trace.at("spans_recorded").num(), 0.0);
 
   // Exactly one complete recovery episode for site 1, with every phase
   // milestone in causal order and the durations filled in.
@@ -610,12 +531,12 @@ TEST(EpisodeReport, ChromeSpanExportIsStructurallyValid) {
   Cluster cluster(cfg, 41);
   run_quiet_recovery(cluster);
 
-  const JsonValue doc =
-      parse_checked(cluster.spans().to_chrome_json(&cluster.tracer()));
+  const JsonValue doc = parse_checked(cluster.spans_chrome_json());
   ASSERT_TRUE(doc.is_object());
   const JsonArray& events = doc.obj().at("traceEvents").arr();
   ASSERT_FALSE(events.empty());
-  bool saw_complete = false, saw_instant = false, saw_recovery = false;
+  bool saw_complete = false, saw_instant = false, saw_recovery = false,
+       saw_current = false;
   for (const JsonValue& v : events) {
     const JsonObject& e = v.obj();
     ASSERT_TRUE(e.count("name"));
@@ -630,13 +551,17 @@ TEST(EpisodeReport, ChromeSpanExportIsStructurallyValid) {
       EXPECT_EQ(ph, "i");
       saw_instant = true;
     }
-    if (e.at("name").str() == std::string(to_string(SpanKind::kRecovery))) {
+    const std::string& name = e.at("name").str();
+    if (name == to_string(TraceKind::kRecoveryStarted)) {
+      EXPECT_EQ(ph, "X");
       saw_recovery = true;
     }
+    if (name == to_string(TraceKind::kFullyCurrent)) saw_current = true;
   }
   EXPECT_TRUE(saw_complete);
   EXPECT_TRUE(saw_instant);
   EXPECT_TRUE(saw_recovery); // the recovery episode span made it out
+  EXPECT_TRUE(saw_current);  // and so did the milestone that closed it
 }
 
 TEST(EpisodeReport, FixedSeedReplayIsByteIdentical) {
@@ -646,8 +571,7 @@ TEST(EpisodeReport, FixedSeedReplayIsByteIdentical) {
     run_quiet_recovery(cluster);
     RunReport report("determinism");
     cluster.report_run(report, "quiet");
-    return std::make_pair(report.to_json(),
-                          cluster.spans().to_chrome_json(&cluster.tracer()));
+    return std::make_pair(report.to_json(), cluster.spans_chrome_json());
   };
   const auto first = render();
   const auto second = render();

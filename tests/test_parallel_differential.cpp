@@ -9,10 +9,12 @@
 // since render_report is a pure function of the execution.
 //
 // Also here: the SPSC mailbox ring, the sharded-metrics merge (the
-// "concurrent bumps lose no counts" regression) and backend selection.
+// "concurrent bumps lose no counts" regression), backend selection, and
+// the Chrome span export's causal lanes across shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "core/parallel_cluster.h"
 #include "core/runtime.h"
 #include "explore/explorer.h"
+#include "json_test_util.h"
 #include "replication/session.h"
 #include "sim/spsc_ring.h"
 #include "workload/runner.h"
@@ -431,6 +434,71 @@ TEST(ParallelDifferential, PlantedBugVerdictsAgreeAcrossBackends) {
   for (const Violation& v : par.violations) par_oracles.insert(v.oracle);
   for (const Violation& v : des.violations) des_oracles.insert(v.oracle);
   EXPECT_EQ(par_oracles, des_oracles);
+}
+
+
+// Every slice and instant of the Chrome export sits on the lane (tid) of
+// the root of its parent chain, resolved over the whole document. DM work
+// caused by a coordinator on another shard is the case that needs the
+// whole document: the lock wait's shard does not hold its parent's begin.
+TEST(ParallelDifferential, SpanExportTidIsCausalRoot) {
+  for (int threads : {2, 1}) {
+    Config cfg;
+    cfg.n_sites = 8;
+    cfg.n_items = 80;
+    cfg.replication_degree = 3;
+    cfg.workload_shards = 2;
+    cfg.n_threads = threads;
+    auto rt = make_runtime(cfg, 7);
+    rt->bootstrap();
+    RunnerParams rp;
+    rp.clients_per_site = 3;
+    rp.duration = 2'000'000;
+    rp.schedule.push_back({500'000, FailureEvent::What::kCrash, 1});
+    rp.schedule.push_back({1'500'000, FailureEvent::What::kRecover, 1});
+    Runner runner(*rt, rp, 7);
+    runner.run();
+
+    const json_test::JsonValue doc =
+        json_test::parse_checked(rt->spans_chrome_json());
+    const json_test::JsonArray& events = doc.obj().at("traceEvents").arr();
+    auto arg = [](const json_test::JsonObject& e, const char* key) {
+      const json_test::JsonValue* v = e.at("args").get(key);
+      return v == nullptr ? SpanId{0} : static_cast<SpanId>(v->num());
+    };
+    std::map<SpanId, SpanId> parent_of;
+    for (const json_test::JsonValue& v : events) {
+      const json_test::JsonObject& e = v.obj();
+      if (e.at("ph").str() == "X") parent_of[arg(e, "span")] = arg(e, "parent");
+    }
+    auto root_of = [&](SpanId id) {
+      for (int depth = 0; depth < 64; ++depth) {
+        auto it = parent_of.find(id);
+        if (it == parent_of.end() || it->second == 0) break;
+        id = it->second;
+      }
+      return id;
+    };
+    size_t slices = 0, nested = 0;
+    std::map<std::string, int> wrong; // event name -> misplaced count
+    for (const json_test::JsonValue& v : events) {
+      const json_test::JsonObject& e = v.obj();
+      const bool slice = e.at("ph").str() == "X";
+      const SpanId lane = slice ? arg(e, "span") : arg(e, "parent");
+      const SpanId want = lane == 0 ? 0 : root_of(lane);
+      if (static_cast<SpanId>(e.at("tid").num()) != want) {
+        ++wrong[e.at("name").str()];
+      }
+      slices += slice ? 1 : 0;
+      nested += arg(e, "parent") != 0 ? 1 : 0;
+    }
+    EXPECT_GT(slices, 1000u) << threads << " threads";
+    EXPECT_GT(nested, 1000u) << threads << " threads";
+    for (const auto& [name, n] : wrong) {
+      ADD_FAILURE() << threads << " threads: " << n << " '" << name
+                    << "' events off their causal root's lane";
+    }
+  }
 }
 
 } // namespace

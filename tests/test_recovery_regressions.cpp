@@ -257,23 +257,28 @@ TEST(RecoveryLiveness, Type1DeclarationLivelockResolves) {
 
 TEST(RecoveryLiveness, ExhaustedType1CycleRestartsAfterCooldown) {
   // Squeeze the retry limit so the lock collision exhausts the type-1
-  // cycle immediately: the old code would strand the site at the first
-  // gave-up; the cool-down restart must bring it up anyway.
+  // cycle at once: the old code would strand the site at the first
+  // gave-up; the cool-down restart must bring it up anyway. Whether a
+  // given seed collides depends on the message cadence, so the property
+  // is checked over a seed range: every seed recovers all three victims
+  // and converges, and the range must contain exhausted cycles.
   Config cfg = livelock_config();
   cfg.control_retry_limit = 1;
-  // Seed 43: the lock collision still exhausts the one-attempt cycle under
-  // the current message cadence (late OutcomeAck traffic shifted phases
-  // enough that seed 42 no longer collides).
-  Cluster cluster(cfg, 43);
-  cluster.bootstrap();
-  run_livelock_rounds(cluster, 43);
-  EXPECT_GE(cluster.metrics().get("rm.gave_up"), 1);
-  for (SiteId s = 0; s < 4; ++s) {
-    EXPECT_EQ(cluster.site(s).state().mode, SiteMode::kUp) << "site " << s;
+  int exhausted = 0; // seeds whose collision exhausted a type-1 cycle
+  for (uint64_t seed = 40; seed < 48; ++seed) {
+    Cluster cluster(cfg, seed);
+    cluster.bootstrap();
+    run_livelock_rounds(cluster, seed);
+    if (cluster.metrics().get("rm.gave_up") >= 1) ++exhausted;
+    for (SiteId s = 0; s < 4; ++s) {
+      EXPECT_EQ(cluster.site(s).state().mode, SiteMode::kUp)
+          << "seed " << seed << " site " << s;
+    }
+    EXPECT_EQ(cluster.metrics().get("rm.recovered"), 3) << "seed " << seed;
+    std::string why;
+    EXPECT_TRUE(cluster.replicas_converged(&why)) << "seed " << seed << why;
   }
-  EXPECT_EQ(cluster.metrics().get("rm.recovered"), 3);
-  std::string why;
-  EXPECT_TRUE(cluster.replicas_converged(&why)) << why;
+  EXPECT_GE(exhausted, 1);
 }
 
 TEST(FailureDetector, NoFalseDeclarationsOnHealthyCluster) {

@@ -268,7 +268,11 @@ TEST(Watchdog, BundleCarriesLivelockSignature) {
   EXPECT_NE(r.bundle.find("\"ns_lock_holders\""), std::string::npos);
   EXPECT_NE(r.bundle.find("\"ns_vector\""), std::string::npos);
   EXPECT_NE(r.bundle.find("\"trace_tail\""), std::string::npos);
-  EXPECT_NE(r.bundle.find("\"span_tail\""), std::string::npos);
+  // The one trace tail carries span structure: begins and ends with their
+  // causal parents, next to the flat events.
+  EXPECT_NE(r.bundle.find("\"phase\": 1"), std::string::npos);
+  EXPECT_NE(r.bundle.find("\"phase\": 2"), std::string::npos);
+  EXPECT_NE(r.bundle.find("\"parent\""), std::string::npos);
   EXPECT_NE(r.bundle.find("\"mode\": \"recovering\""), std::string::npos);
 }
 

@@ -1,7 +1,8 @@
 // Observability layer: the trace ring buffer and the JSON run reports.
 //
 // The ring tests pin the overwrite semantics (oldest events drop, the
-// dropped count is exact, retained events stay in record order). The JSON
+// dropped count is exact, retained events stay in record order) and the
+// span structure (ambient and explicit parents, null safety). The JSON
 // tests round-trip the emitted documents through the shared test-only
 // parser (tests/json_test_util.h) to prove the hand-rolled writer produces
 // well-formed, correctly-escaped output with the schema EXPERIMENTS.md
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/report.h"
 #include "core/cluster.h"
@@ -86,32 +88,88 @@ TEST(Tracer, ClearResetsCounters) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-TEST(Tracer, JsonRoundTripsEventsOldestFirst) {
+// --------------------------------------------------------------------------
+// Spans: nesting, ambient scope, null-safety, ring semantics.
+
+TEST(Tracer, NestsChildrenUnderAmbientSpan) {
+  Scheduler sched;
+  Tracer tracer(sched, 32);
+  const SpanId root = tracer.begin(TraceKind::kUserTxn, 0, 42);
+  EXPECT_NE(root, 0u);
+  EXPECT_EQ(tracer.current(), 0u); // begin() does not install the span
+  SpanId child = 0;
+  {
+    SpanScope scope(&tracer, root);
+    EXPECT_EQ(tracer.current(), root);
+    child = tracer.begin(TraceKind::kLockWait, 1, 42);
+    tracer.record(TraceKind::kStage, 1, 42, /*a=*/7);
+  }
+  EXPECT_EQ(tracer.current(), 0u); // scope restored
+  tracer.end(child);
+  tracer.end(root);
+
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 5u);
+  EXPECT_EQ(events[0].phase, TracePhase::kBegin);
+  EXPECT_EQ(events[0].span, root);
+  EXPECT_EQ(events[0].parent, 0u); // root has no parent
+  EXPECT_EQ(events[1].kind, TraceKind::kLockWait);
+  EXPECT_EQ(events[1].parent, root); // ambient parent captured
+  EXPECT_EQ(events[2].kind, TraceKind::kStage);
+  EXPECT_EQ(events[2].phase, TracePhase::kInstant);
+  EXPECT_EQ(events[2].parent, root);
+  EXPECT_EQ(events[2].a, 7);
+  EXPECT_EQ(events[3].phase, TracePhase::kEnd);
+  EXPECT_EQ(events[3].kind, TraceKind::kSpanEnd);
+  EXPECT_EQ(events[3].span, child);
+  EXPECT_EQ(events[4].span, root);
+}
+
+TEST(Tracer, ExplicitParentOverridesAmbient) {
+  Scheduler sched;
+  Tracer tracer(sched, 32);
+  const SpanId a = tracer.begin(TraceKind::kUserTxn, 0);
+  SpanScope scope(&tracer, a);
+  const SpanId b = tracer.begin_under(a, TraceKind::kCopier, 1);
+  tracer.record_under(b, TraceKind::kApply, 1);
+  tracer.record(TraceKind::kTxnCommit, 1); // ambient: a
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[1].parent, a);
+  EXPECT_EQ(events[2].parent, b);
+  EXPECT_EQ(events[3].parent, a);
+}
+
+TEST(Tracer, NullTracerIsSafeEverywhere) {
+  EXPECT_EQ(Tracer::open(nullptr, TraceKind::kUserTxn, 0), 0u);
+  Tracer::close(nullptr, 3); // no crash
+  Tracer::emit(nullptr, TraceKind::kStage, 0);
+  Tracer::emit_under(nullptr, 9, TraceKind::kApply, 0);
+  SpanScope scope(nullptr, 5); // no crash, no effect
+}
+
+TEST(Tracer, SpansWrapAndCountDropped) {
   Scheduler sched;
   Tracer tracer(sched, 4);
-  for (int i = 0; i < 6; ++i) {
-    tracer.record(TraceKind::kDetectorDeclare, static_cast<SiteId>(i % 3),
-                  /*txn=*/1'000 + i, /*a=*/i, /*b=*/-i);
+  std::vector<SpanId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(tracer.begin(TraceKind::kUserTxn, 0, 100 + i));
   }
-  const JsonValue doc = parse_checked(tracer.to_json());
-  ASSERT_TRUE(doc.is_array());
-  ASSERT_EQ(doc.arr().size(), 4u); // retained only
-  int64_t prev_a = -1;
-  for (const JsonValue& ev : doc.arr()) {
-    ASSERT_TRUE(ev.is_object());
-    const JsonObject& o = ev.obj();
-    ASSERT_TRUE(o.count("at"));
-    ASSERT_TRUE(o.count("kind"));
-    ASSERT_TRUE(o.count("site"));
-    ASSERT_TRUE(o.count("txn"));
-    ASSERT_TRUE(o.count("a"));
-    EXPECT_EQ(o.at("kind").str(), "detector_declare");
-    const int64_t a = static_cast<int64_t>(o.at("a").num());
-    EXPECT_GT(a, prev_a); // oldest-first, strictly increasing here
-    prev_a = a;
-    EXPECT_EQ(static_cast<int64_t>(o.at("b").num()), -a);
-  }
-  EXPECT_EQ(prev_a, 5); // the newest event survived the wrap
+  for (SpanId id : ids) tracer.end(id);
+  EXPECT_EQ(tracer.recorded(), 10u);
+  EXPECT_EQ(tracer.size(), 4u);
+  EXPECT_EQ(tracer.dropped(), 6u);
+  // Newest events survive: the four end events.
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (const TraceEvent& e : events) EXPECT_EQ(e.phase, TracePhase::kEnd);
+
+  tracer.clear();
+  EXPECT_EQ(tracer.recorded(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.size(), 0u);
+  // Span ids keep counting across clear(), so they stay unique.
+  EXPECT_GT(tracer.begin(TraceKind::kUserTxn, 0), ids.back());
 }
 
 // --------------------------------------------------------------------------

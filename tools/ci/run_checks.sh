@@ -212,10 +212,17 @@ step "observability smoke (ddbs_sim -> ddbs_trace.py)"
 "$repo/build/tools/ddbs_sim" \
   --duration-ms=3000 --crash=2@600 --recover=2@1500 \
   --report-out="$tmp/report.json" --spans-out="$tmp/spans.json" \
-  --trace-out="$tmp/trace.json" \
   --telemetry-out="$tmp/telemetry.jsonl" >/dev/null
 python3 "$repo/tools/ddbs_trace.py" "$tmp/report.json" >/dev/null
-python3 "$repo/tools/ddbs_trace.py" "$tmp/spans.json" >/dev/null
+# The Chrome export is the one trace stream: the recovery episode, its
+# type-1 control transaction and its copiers must all show up as spans.
+python3 "$repo/tools/ddbs_trace.py" "$tmp/spans.json" >"$tmp/spans.txt"
+for kind in recovery control_up copier; do
+  grep -Eq "^  $kind +[0-9]" "$tmp/spans.txt" || {
+    echo "ddbs_trace.py spans.json lists no '$kind' spans" >&2
+    exit 1
+  }
+done
 python3 "$repo/tools/ddbs_trace.py" "$tmp/telemetry.jsonl" --tail 8 >/dev/null
 # A report must never regress against itself.
 python3 "$repo/tools/compare_reports.py" \

@@ -48,7 +48,6 @@ struct Options {
   bool dump_metrics = false;
   bool quiet_expect = false;
   std::string report_out; // JSON run report path ("" = off)
-  std::string trace_out;  // JSON trace-event dump path ("" = off)
   std::string spans_out;  // Chrome trace_event span dump path ("" = off)
   std::string telemetry_out; // live telemetry JSONL path ("-" = stdout)
   TelemetryOptions telemetry;
@@ -74,8 +73,7 @@ struct Options {
       "  --verify              run the Section-4 serializability checkers\n"
       "  --metrics             dump the raw metric counters\n"
       "  --report-out=PATH     write a JSON run report (schema: EXPERIMENTS.md)\n"
-      "  --trace-out=PATH      write the structured trace ring as JSON\n"
-      "  --spans-out=PATH      write causal spans as Chrome trace_event JSON\n"
+      "  --spans-out=PATH      write the trace ring as Chrome trace_event JSON\n"
       "                        (load in chrome://tracing / Perfetto, or feed\n"
       "                        to tools/ddbs_trace.py)\n"
       "  --telemetry-out=PATH  stream live telemetry JSONL (- = stdout)\n"
@@ -117,8 +115,6 @@ Options parse(int argc, char** argv) {
       ok = parse_event(v, FailureEvent::What::kRecover, &o.schedule);
     } else if (parse_kv(argv[i], "--report-out", &v)) {
       o.report_out = v;
-    } else if (parse_kv(argv[i], "--trace-out", &v)) {
-      o.trace_out = v;
     } else if (parse_kv(argv[i], "--spans-out", &v)) {
       o.spans_out = v;
     } else if (parse_kv(argv[i], "--telemetry-out", &v)) {
@@ -313,17 +309,12 @@ int main(int argc, char** argv) {
                              stats.commit_latency_us.percentile(99));
     if (!report.write(o.report_out)) rc = 1;
   }
-  auto dump = [&rc](const char* kind, const std::string& path,
-                    const std::string& json) {
-    if (!write_file(kind, path, json)) {
+  if (!o.spans_out.empty()) {
+    if (!write_file("spans", o.spans_out, cluster.spans_chrome_json())) {
       rc = 1;
     } else {
-      std::printf("%s: wrote %s\n", kind, path.c_str());
+      std::printf("spans: wrote %s\n", o.spans_out.c_str());
     }
-  };
-  if (!o.trace_out.empty()) dump("trace", o.trace_out, cluster.trace_json());
-  if (!o.spans_out.empty()) {
-    dump("spans", o.spans_out, cluster.spans_chrome_json());
   }
   return rc;
 }

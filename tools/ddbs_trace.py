@@ -11,9 +11,9 @@ FILE is auto-detected:
     retries, missed-copy backlog drain) and an ASCII degradation timeline
     built from the report's time series (commits / aborts / sites up per
     bucket);
-  * a Chrome trace_event span dump written by --spans-out (JSON object
-    with "traceEvents"): prints per-kind span statistics (count, mean /
-    max duration, total time) and the per-site event volume;
+  * a Chrome trace_event dump written by --spans-out (JSON object with
+    "traceEvents"): prints per-kind span statistics (count, mean / max
+    duration, total time), instant counts and the per-site event volume;
   * a telemetry stream written by --telemetry-out (JSONL, one interval
     snapshot per line): prints an ASCII commit-rate / backlog timeline
     with per-tick site modes, and any watchdog stall events. --tail N
@@ -115,10 +115,8 @@ def report_mode(doc, width):
         print(f"\nrun '{run.get('label', '?')}'")
         trace = run.get("trace", {})
         if trace:
-            print(f"  trace: {trace.get('recorded', 0)} events "
-                  f"({trace.get('dropped', 0)} dropped), "
-                  f"{trace.get('spans_recorded', 0)} span events "
-                  f"({trace.get('spans_dropped', 0)} dropped)")
+            print(f"  trace: {trace.get('recorded', 0)} events, spans "
+                  f"included ({trace.get('dropped', 0)} dropped)")
         episodes = run.get("episodes", [])
         if episodes:
             print(f"  recovery episodes: {len(episodes)}")
