@@ -5,12 +5,14 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/report.h"
 #include "core/cluster.h"
 #include "net/rpc.h"
 #include "recovery/status_tables.h"
+#include "replication/catalog.h"
 #include "sim/event_queue.h"
 #include "storage/kv_store.h"
 #include "storage/wal.h"
@@ -196,6 +198,37 @@ void BM_EventQueue_TimeoutChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_TimeoutChurn);
 
+// The network's shape on the queue: a live set of message deliveries
+// 500-1500 us out, and per delivery one 20 ms request timeout, nine in ten
+// cancelled a little later when the response arrives. Deliveries land in
+// the near-future calendar, timeouts in the heap.
+void BM_EventQueue_NetworkMix(benchmark::State& state) {
+  constexpr SimTime kTimeout = 20'000;
+  constexpr uint32_t kTimeoutLane = 2; // deliveries use push()'s lane 1
+  constexpr size_t kInFlight = 1024;
+  std::vector<SimTime> latency(4096);
+  Rng rng(11);
+  for (SimTime& l : latency) l = rng.uniform(500, 1500);
+  EventQueue q;
+  for (size_t i = 0; i < kInFlight; ++i) q.push(latency[i], []() {});
+  std::array<EventId, 64> awaiting{}; // timeouts whose response is in flight
+  uint32_t timeout_seq = 0;
+  uint64_t step = 0;
+  for (auto _ : state) {
+    EventQueue::Fired f = q.pop();
+    if ((f.key >> 32) == kTimeoutLane) continue; // an uncancelled one expired
+    EventId& pending = awaiting[step % awaiting.size()];
+    if (pending != 0 && step % 10 != 0) q.cancel(pending);
+    pending = q.push_keyed(f.time + kTimeout,
+                           make_event_key(kTimeoutLane, timeout_seq++),
+                           []() {});
+    q.push(f.time + latency[step % latency.size()], []() {});
+    ++step;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueue_NetworkMix);
+
 // One envelope through the transport: send() -> latency event -> handler.
 void BM_Network_SendDeliver(benchmark::State& state) {
   Config cfg;
@@ -298,16 +331,26 @@ void BM_Wal_TruncateResolved(benchmark::State& state) {
 }
 BENCHMARK(BM_Wal_TruncateResolved)->Arg(64)->Arg(1024)->Arg(16384);
 
-// A DM read's copy lookup in one site's store of `copies` hosted items,
-// 43 ids apart (how degree 3 spreads them over 128 sites), probed at
-// random hosted ids.
+// A DM read's copy lookup in site 0's store, indexed by its catalog row,
+// with about `copies` hosted items (degree 3 over 128 sites: 43 items of
+// the database per hosted copy), probed at random hosted ids.
 void BM_KvStore_Find(benchmark::State& state) {
-  const auto copies = static_cast<ItemId>(state.range(0));
+  Config cfg;
+  cfg.n_sites = 128;
+  cfg.n_items = state.range(0) * 43;
+  cfg.replication_degree = 3;
+  const Catalog cat = Catalog::make(cfg);
+  const auto hosted = cat.items_at(0);
   KvStore kv;
-  for (ItemId i = 0; i < copies; ++i) kv.create(i * 43, i);
+  kv.index_by(&cat, 0);
+  kv.reserve(hosted.size());
+  for (ItemId x : hosted) kv.create(x, x);
   std::vector<ItemId> probes(4096);
   Rng rng(3);
-  for (ItemId& x : probes) x = rng.uniform(0, copies - 1) * 43;
+  for (ItemId& x : probes) {
+    x = hosted[static_cast<size_t>(
+        rng.uniform(0, static_cast<int64_t>(hosted.size()) - 1))];
+  }
   size_t k = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(kv.find(probes[k++ & 4095]));

@@ -89,6 +89,15 @@ class SmallVec {
 
   void clear() { size_ = 0; }
 
+  // Shrink, or grow with value-initialized elements.
+  void resize(size_t n) {
+    if (n <= size_) {
+      size_ = static_cast<decltype(size_)>(n);
+      return;
+    }
+    while (size_ < n) push_back(T{});
+  }
+
   void pop_back() {
     assert(size_ > 0);
     --size_;

@@ -25,6 +25,7 @@ Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
     engine_ = std::make_unique<InMemoryEngine>();
   }
   stable_.set_engine(engine_.get());
+  stable_.kv().index_by(&cat_, id_);
   rpc_.set_tracer(tracer);
   CoordinatorEnv env;
   env.self = id_;
@@ -51,12 +52,12 @@ Site::Site(SiteId id, const Config& cfg, Scheduler& sched, Network& net,
   });
   rm_->set_on_operational([this](SessionNum) { fd_->start(); });
 
-  rpc_.start([this](const Envelope& env2) {
+  rpc_.start([this](Envelope&& env2) {
     if (std::holds_alternative<DeclaredDown>(env2.payload)) {
       on_declared_down();
       return;
     }
-    dm_->handle_request(env2);
+    dm_->handle_request(std::move(env2));
   });
 }
 

@@ -116,7 +116,8 @@ struct BatchOpResult {
 struct BatchResp {
   TxnId txn = 0;
   Code code = Code::kOk; // batch-level verdict: kOk iff every op succeeded
-  std::vector<BatchOpResult> results;
+  // One per op, in op order. Most batches carry one or two ops.
+  SmallVec<BatchOpResult, 2> results;
 };
 
 // One spooled update held for a down site (spooler baseline, Hammer &

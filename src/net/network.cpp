@@ -193,7 +193,7 @@ void Network::deliver(int shard, uint32_t slot) {
   const uint64_t dest_inc = sh.inflight[slot].dest_inc;
   const SimTime sent_at = sh.inflight[slot].sent_at;
   sh.inflight_free.push_back(slot);
-  const SiteSlot& dest = sites_[static_cast<size_t>(env.to)];
+  SiteSlot& dest = sites_[static_cast<size_t>(env.to)];
   const bool stale_incarnation =
       det_ ? sent_at < dest.inc_started : dest.incarnation != dest_inc;
   if (!dest.alive || stale_incarnation || !reachable(env.from, env.to)) {
@@ -206,7 +206,7 @@ void Network::deliver(int shard, uint32_t slot) {
     // the ambient key-minting lane before dispatch.
     sh.sched->set_context_site(env.to);
   }
-  dest.handler(env);
+  dest.handler(std::move(env));
 }
 
 uint64_t Network::messages_sent() const {

@@ -12,13 +12,13 @@
 // shard (the classic DES) everything stays on the single local path.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "common/config.h"
 #include "common/random.h"
 #include "net/message.h"
 #include "sim/latency_model.h"
+#include "sim/inline_fn.h"
 #include "sim/scheduler.h"
 
 namespace ddbs {
@@ -44,7 +44,8 @@ class CrossShardSink {
 
 class Network {
  public:
-  using Handler = std::function<void(const Envelope&)>;
+  // Receives each delivered envelope by rvalue: the handler owns it.
+  using Handler = InlineFn<void(Envelope&&)>;
 
   // Single-shard (classic DES) construction.
   Network(Scheduler& sched, const Config& cfg, uint64_t seed);

@@ -68,9 +68,14 @@ Catalog Catalog::make(const Config& cfg) {
   c.item_ids_.resize(static_cast<size_t>(c.site_off_[static_cast<size_t>(
       cfg.n_sites)]));
   std::vector<uint64_t> cursor(c.site_off_.begin(), c.site_off_.end() - 1);
+  // Copies are visited in site_ids_ order, so copy_pos_ fills by appending.
+  c.copy_pos_.reserve(c.site_ids_.size());
   for (int64_t x = 0; x < cfg.n_items; ++x) {
-    for (SiteId s : c.sites_of(x)) {
-      c.item_ids_[static_cast<size_t>(cursor[static_cast<size_t>(s)]++)] = x;
+    for (SiteId site : c.sites_of(x)) {
+      const auto s = static_cast<size_t>(site);
+      c.copy_pos_.push_back(
+          static_cast<uint32_t>(cursor[s] - c.site_off_[s]));
+      c.item_ids_[static_cast<size_t>(cursor[s]++)] = x;
     }
   }
   return c;
@@ -86,6 +91,7 @@ bool Catalog::has_copy(SiteId site, ItemId item) const {
 size_t Catalog::bytes() const {
   return item_off_.capacity() * sizeof(uint32_t) +
          site_ids_.capacity() * sizeof(SiteId) +
+         copy_pos_.capacity() * sizeof(uint32_t) +
          site_off_.capacity() * sizeof(uint64_t) +
          item_ids_.capacity() * sizeof(ItemId) +
          all_sites_.capacity() * sizeof(SiteId);

@@ -55,6 +55,19 @@ class Catalog {
     return {item_ids_.data() + b, e - b};
   }
 
+  // Position of regular item `item` in items_at(site), or -1 when the
+  // site hosts no copy of it: the direct index a site's copy store uses
+  // instead of searching its directory.
+  int64_t position_at(SiteId site, ItemId item) const {
+    if (item < 0 || item >= n_items_) return -1;
+    const size_t b = item_off_[static_cast<size_t>(item)];
+    const size_t e = item_off_[static_cast<size_t>(item) + 1];
+    for (size_t i = b; i < e; ++i) {
+      if (site_ids_[i] == site) return copy_pos_[i];
+    }
+    return -1;
+  }
+
   int n_sites() const { return n_sites_; }
   int64_t n_items() const { return n_items_; }
 
@@ -67,6 +80,8 @@ class Catalog {
   // item -> sites: sites of x are site_ids_[item_off_[x] .. item_off_[x+1]).
   std::vector<uint32_t> item_off_;
   std::vector<SiteId> site_ids_;
+  // Parallel to site_ids_: the copy's position in that site's items_at.
+  std::vector<uint32_t> copy_pos_;
   // site -> items: items of s are item_ids_[site_off_[s] .. site_off_[s+1]).
   std::vector<uint64_t> site_off_;
   std::vector<ItemId> item_ids_;

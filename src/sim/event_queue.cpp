@@ -5,10 +5,10 @@ namespace ddbs {
 void EventQueue::compact() {
   size_t kept = 0;
   for (const HeapEntry& e : heap_) {
-    if (slot(e.slot).live) {
+    if (live(slot(e.slot))) {
       heap_[kept++] = e;
     } else {
-      free_slot(e.slot);
+      free_.push_back(e.slot);
     }
   }
   heap_.resize(kept);

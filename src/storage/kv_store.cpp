@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "replication/catalog.h"
 #include "storage/storage_sink.h"
 
 namespace ddbs {
@@ -19,8 +20,14 @@ const KvStore::Slot* KvStore::slot_of(ItemId item) const {
     const size_t i = static_cast<size_t>(item - kNsBase);
     if (i < ns_.size()) s = &ns_[i];
   } else {
-    const size_t i = lower_index(item);
-    if (i < data_ids_.size() && data_ids_[i] == item) s = &data_[i];
+    const int64_t p = cat_ != nullptr ? cat_->position_at(site_, item) : -1;
+    if (p >= 0 && static_cast<size_t>(p) < data_ids_.size() &&
+        data_ids_[static_cast<size_t>(p)] == item) {
+      s = &data_[static_cast<size_t>(p)];
+    } else {
+      const size_t i = lower_index(item);
+      if (i < data_ids_.size() && data_ids_[i] == item) s = &data_[i];
+    }
   }
   return s != nullptr && s->present ? s : nullptr;
 }

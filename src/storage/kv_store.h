@@ -6,9 +6,14 @@
 //
 // Host memory follows what the site holds, not the size of the database.
 // Data copies live in a compact directory: the ascending ids of the data
-// items the site has ever held, with a parallel vector of slots, searched
-// by binary search. The directory is filled in id order at bootstrap; a
-// copy installed later for an absent id is inserted in sorted position.
+// items the site has ever held, with a parallel vector of slots. The
+// directory is filled in id order at bootstrap; a copy installed later for
+// an absent id is inserted in sorted position. A store indexed by its
+// site's catalog row (index_by) finds a copy in O(1): the catalog keeps
+// each copy's position in its site's ascending item list, which is exactly
+// the directory position once bootstrap has filled it. A position that
+// does not check out (a store being rebuilt, an id outside the row) falls
+// back to binary search, as does an unindexed store.
 // NS copies (kNsBase + site) live in a small side vector indexed by site,
 // since every site hosts all n of them. No other ids are stored. Pointers
 // returned by find() are invalidated by create()/install() of a
@@ -25,6 +30,7 @@
 
 namespace ddbs {
 
+class Catalog;
 class StorageSink;
 
 struct Copy {
@@ -63,6 +69,13 @@ class KvStore {
   // Host bytes held by the directory and slot arrays (capacity, not size).
   size_t bytes() const;
 
+  // Look data copies up through `cat`'s positions for `site`. The
+  // catalog must outlive the store.
+  void index_by(const Catalog* cat, SiteId site) {
+    cat_ = cat;
+    site_ = site;
+  }
+
   // Mutation observer (durable engine); null = no notifications.
   void set_sink(StorageSink* sink) { sink_ = sink; }
   // Drop every copy (a durable-engine crash discards the RAM image; the
@@ -92,6 +105,8 @@ class KvStore {
   size_t size_ = 0;
   size_t unreadable_count_ = 0;
   StorageSink* sink_ = nullptr;
+  const Catalog* cat_ = nullptr;
+  SiteId site_ = kInvalidSite;
 };
 
 } // namespace ddbs

@@ -41,22 +41,22 @@ DataManager::DataManager(SiteId self, const Config& cfg, Scheduler& sched,
 // ---------------------------------------------------------------------------
 // dispatch
 
-void DataManager::handle_request(const Envelope& env) {
+void DataManager::handle_request(Envelope&& env) {
   std::visit(
       [&](const auto& payload) {
         using T = std::decay_t<decltype(payload)>;
         if constexpr (std::is_same_v<T, ReadReq>) {
-          on_read(env);
+          on_read(std::move(env));
         } else if constexpr (std::is_same_v<T, WriteReq>) {
-          on_write(env);
+          on_write(std::move(env));
         } else if constexpr (std::is_same_v<T, BatchReq>) {
-          on_batch(env);
+          on_batch(std::move(env));
         } else if constexpr (std::is_same_v<T, StatusReadReq>) {
-          on_status_read(env);
+          on_status_read(std::move(env));
         } else if constexpr (std::is_same_v<T, StatusClearReq>) {
-          on_status_clear(env);
+          on_status_clear(std::move(env));
         } else if constexpr (std::is_same_v<T, PrepareReq>) {
-          on_prepare(env);
+          on_prepare(std::move(env));
         } else if constexpr (std::is_same_v<T, CommitReq>) {
           on_commit(env);
         } else if constexpr (std::is_same_v<T, AbortReq>) {
@@ -128,114 +128,196 @@ DataManager::TxnCtx* DataManager::find_ctx(TxnId txn) {
 // ---------------------------------------------------------------------------
 // lock chains
 
-void DataManager::start_chain(TxnId txn, const Envelope& env,
-                              std::vector<std::pair<ItemId, LockMode>> locks,
-                              std::function<void()> on_done) {
-  auto chain = std::make_shared<Chain>();
-  chain->id = next_chain_++;
-  chain->txn = txn;
-  chain->env = env;
-  chain->parent_span = env.span;
-  chain->locks = std::move(locks);
-  chain->on_done = std::move(on_done);
-  chains_[txn].push_back(chain);
-  advance_chain(chain);
+namespace {
+// chains_ key of a transaction (U64Table reserves key 0).
+inline uint64_t chain_key(TxnId txn) { return txn + 1; }
+} // namespace
+
+DataManager::Chain* DataManager::find_chain(ChainRef ref) {
+  const auto idx = static_cast<uint32_t>(ref & 0xffffffffu);
+  const auto gen = static_cast<uint32_t>(ref >> 32);
+  if (idx >= chain_count_) return nullptr;
+  Chain& c = chain_at(idx);
+  return c.gen == gen && (gen & 1u) != 0 ? &c : nullptr;
 }
 
-void DataManager::advance_chain(const std::shared_ptr<Chain>& chain) {
-  while (!chain->locks.empty()) {
-    const auto [item, mode] = chain->locks.front();
-    chain->in_acquire = true;
-    chain->sync_granted = false;
-    std::weak_ptr<Chain> weak = chain;
-    const auto rid = lm_.acquire(
-        chain->txn, item, mode, [this, weak]() {
-          auto c = weak.lock();
-          if (!c) return;
+void DataManager::unlink_chain(uint32_t idx) {
+  Chain& c = chain_at(idx);
+  ChainList* list = chains_.find(chain_key(c.txn));
+  assert(list != nullptr);
+  if (c.prev != kNoChain) {
+    chain_at(c.prev).next = c.next;
+  } else {
+    list->head = c.next;
+  }
+  if (c.next != kNoChain) {
+    chain_at(c.next).prev = c.prev;
+  } else {
+    list->tail = c.prev;
+  }
+  if (list->head == kNoChain) chains_.erase(chain_key(c.txn));
+}
+
+void DataManager::free_chain(uint32_t idx) {
+  Chain& c = chain_at(idx);
+  ++c.gen; // even: resolved; every ChainRef to it is stale
+  c.env = Envelope{};
+  c.on_done.reset();
+  chain_free_.push_back(idx);
+}
+
+void DataManager::start_chain(TxnId txn, Envelope&& env, LockList locks,
+                              ChainDone on_done) {
+  uint32_t idx;
+  if (!chain_free_.empty()) {
+    idx = chain_free_.back();
+    chain_free_.pop_back();
+  } else {
+    idx = chain_count_++;
+    if ((idx >> kChainChunkShift) == chain_chunks_.size()) {
+      chain_chunks_.push_back(std::make_unique<Chain[]>(kChainChunkSize));
+    }
+  }
+  Chain& c = chain_at(idx);
+  ++c.gen; // odd: live
+  c.detached = false;
+  c.txn = txn;
+  c.parent_span = env.span;
+  c.env = std::move(env);
+  c.locks = std::move(locks);
+  c.next_lock = 0;
+  c.rid = 0;
+  c.timer = 0;
+  c.on_done = std::move(on_done);
+  c.in_acquire = false;
+  c.sync_granted = false;
+  c.wait_span = 0;
+  c.wait_started = kNoTime;
+  // Append to the transaction's list.
+  ChainList* list = chains_.find(chain_key(txn));
+  if (list == nullptr) {
+    chains_.insert(chain_key(txn), ChainList{});
+    list = chains_.find(chain_key(txn));
+  }
+  c.next = kNoChain;
+  c.prev = list->tail;
+  if (list->tail != kNoChain) {
+    chain_at(list->tail).next = idx;
+  } else {
+    list->head = idx;
+  }
+  list->tail = idx;
+  advance_chain(idx);
+}
+
+void DataManager::advance_chain(uint32_t idx) {
+  Chain& chain = chain_at(idx);
+  const ChainRef ref = (static_cast<uint64_t>(chain.gen) << 32) | idx;
+  while (chain.next_lock < chain.locks.size()) {
+    const LockStep step = chain.locks[chain.next_lock];
+    chain.in_acquire = true;
+    chain.sync_granted = false;
+    const auto rid =
+        lm_.acquire(chain.txn, step.item, step.mode, [this, ref]() {
+          Chain* c = find_chain(ref);
+          if (c == nullptr) return;
           if (c->in_acquire) {
             c->sync_granted = true;
             return;
           }
           // Granted later, from a release: continue the chain.
           c->rid = 0;
-          c->locks.erase(c->locks.begin());
-          advance_chain(c);
+          ++c->next_lock;
+          advance_chain(static_cast<uint32_t>(ref & 0xffffffffu));
         });
-    chain->in_acquire = false;
-    if (chain->sync_granted) {
-      chain->sync_granted = false;
-      chain->locks.erase(chain->locks.begin());
+    chain.in_acquire = false;
+    if (chain.sync_granted) {
+      chain.sync_granted = false;
+      ++chain.next_lock;
       continue;
     }
     // Must wait.
-    chain->rid = rid;
-    if (chain->wait_started == kNoTime) chain->wait_started = sched_.now();
-    if (chain->wait_span == 0 && tracer_ != nullptr) {
+    chain.rid = rid;
+    if (chain.wait_started == kNoTime) chain.wait_started = sched_.now();
+    if (chain.wait_span == 0 && tracer_ != nullptr) {
       // Lock-wait span under the requesting coordinator: the first real
       // wait opens it, chain resolution (either way) closes it.
-      chain->wait_span = tracer_->begin_under(
-          chain->parent_span, TraceKind::kLockWait, self_, chain->txn, item);
+      chain.wait_span = tracer_->begin_under(
+          chain.parent_span, TraceKind::kLockWait, self_, chain.txn, step.item);
     }
-    if (chain->timer == 0) {
+    if (chain.timer == 0) {
       const uint64_t epoch = boot_epoch_;
-      chain->timer = sched_.after(cfg_.lock_timeout, [this, weak, epoch]() {
+      chain.timer = sched_.after(cfg_.lock_timeout, [this, ref, epoch]() {
         if (epoch != boot_epoch_) return;
-        auto c = weak.lock();
-        if (!c) return;
-        c->timer = 0;
-        if (c->rid != 0) lm_.cancel(c->rid);
-        metrics_.inc(metrics_.id.dm_lock_timeout);
-        if (c->txn == g_trace_txn && g_trace_txn != 0) {
-          std::fprintf(stderr,
-                       "[DMTRACE] t=%lld site=%d txn=%llu chain TIMEOUT on "
-                       "item %lld (locks left %zu)\n",
-                       static_cast<long long>(sched_.now()), self_,
-                       static_cast<unsigned long long>(c->txn),
-                       c->locks.empty() ? -1
-                                        : static_cast<long long>(
-                                              c->locks.front().first),
-                       c->locks.size());
-        }
-        Tracer::close(tracer_, c->wait_span);
-        c->wait_span = 0;
-        reply_code(c->env, Code::kLockTimeout);
-        auto& vec = chains_[c->txn];
-        vec.erase(std::remove(vec.begin(), vec.end(), c), vec.end());
-        if (vec.empty()) chains_.erase(c->txn);
+        on_lock_timeout(ref);
       });
     }
     schedule_deadlock_check();
     return;
   }
   // All locks held.
-  if (chain->timer != 0) {
-    sched_.cancel(chain->timer);
-    chain->timer = 0;
+  if (chain.timer != 0) {
+    sched_.cancel(chain.timer);
+    chain.timer = 0;
   }
-  if (chain->wait_started != kNoTime) {
+  if (chain.wait_started != kNoTime) {
     metrics_.hist(metrics_.id.h_lock_wait_us)
-        .add(static_cast<double>(sched_.now() - chain->wait_started));
-    chain->wait_started = kNoTime;
+        .add(static_cast<double>(sched_.now() - chain.wait_started));
+    chain.wait_started = kNoTime;
   }
-  Tracer::close(tracer_, chain->wait_span);
-  chain->wait_span = 0;
-  auto& vec = chains_[chain->txn];
-  vec.erase(std::remove(vec.begin(), vec.end(), chain), vec.end());
-  if (vec.empty()) chains_.erase(chain->txn);
-  chain->on_done();
+  Tracer::close(tracer_, chain.wait_span);
+  chain.wait_span = 0;
+  const bool detached = chain.detached;
+  if (!detached) unlink_chain(idx);
+  chain.on_done(chain.env);
+  if (!detached) free_chain(idx);
+}
+
+void DataManager::on_lock_timeout(ChainRef ref) {
+  Chain* c = find_chain(ref);
+  if (c == nullptr) return;
+  c->timer = 0;
+  if (c->rid != 0) lm_.cancel(c->rid);
+  metrics_.inc(metrics_.id.dm_lock_timeout);
+  if (c->txn == g_trace_txn && g_trace_txn != 0) {
+    const bool done = c->next_lock >= c->locks.size();
+    std::fprintf(stderr,
+                 "[DMTRACE] t=%lld site=%d txn=%llu chain TIMEOUT on "
+                 "item %lld (locks left %zu)\n",
+                 static_cast<long long>(sched_.now()), self_,
+                 static_cast<unsigned long long>(c->txn),
+                 done ? -1
+                      : static_cast<long long>(c->locks[c->next_lock].item),
+                 c->locks.size() - c->next_lock);
+  }
+  Tracer::close(tracer_, c->wait_span);
+  c->wait_span = 0;
+  reply_code(c->env, Code::kLockTimeout);
+  const auto idx = static_cast<uint32_t>(ref & 0xffffffffu);
+  unlink_chain(idx);
+  free_chain(idx);
 }
 
 void DataManager::fail_chains_of(TxnId txn, Code code) {
-  auto it = chains_.find(txn);
-  if (it == chains_.end()) return;
-  auto chains = std::move(it->second);
-  chains_.erase(it);
-  for (auto& c : chains) {
-    if (c->rid != 0) lm_.cancel(c->rid);
-    if (c->timer != 0) sched_.cancel(c->timer);
-    Tracer::close(tracer_, c->wait_span);
-    c->wait_span = 0;
-    reply_code(c->env, code);
+  ChainList* list = chains_.find(chain_key(txn));
+  if (list == nullptr) return;
+  uint32_t idx = list->head;
+  chains_.erase(chain_key(txn));
+  for (uint32_t i = idx; i != kNoChain; i = chain_at(i).next) {
+    chain_at(i).detached = true;
+  }
+  // Oldest first. A cancel below can grant (and even complete) a chain
+  // further down the list; it is still failed here, as it always was.
+  while (idx != kNoChain) {
+    Chain& c = chain_at(idx);
+    const uint32_t next = c.next;
+    if (c.rid != 0) lm_.cancel(c.rid);
+    if (c.timer != 0) sched_.cancel(c.timer);
+    Tracer::close(tracer_, c.wait_span);
+    c.wait_span = 0;
+    reply_code(c.env, code);
+    free_chain(idx);
+    idx = next;
   }
 }
 
@@ -265,13 +347,14 @@ void DataManager::run_deadlock_check() {
                           : std::vector<std::pair<TxnId, TxnId>>{};
     std::vector<DeadlockCandidate> candidates;
     if (!edges.empty()) {
-      for (const auto& [txn, chains] : chains_) {
+      chains_.for_each([&](uint64_t key, const ChainList& chains) {
+        const TxnId txn = key - 1;
         TxnKind kind = TxnKind::kUser;
         if (const TxnCtx* c = find_ctx(txn)) {
           kind = c->kind;
-        } else if (!chains.empty()) {
+        } else {
           // Kind travels in the request payload for first-op transactions.
-          const Envelope& env = chains.front()->env;
+          const Envelope& env = chain_at(chains.head).env;
           if (const auto* r = std::get_if<ReadReq>(&env.payload)) {
             kind = r->kind;
           } else if (const auto* w = std::get_if<WriteReq>(&env.payload)) {
@@ -283,7 +366,7 @@ void DataManager::run_deadlock_check() {
           }
         }
         candidates.push_back(DeadlockCandidate{txn, kind});
-      }
+      });
     }
     if (auto victim = DeadlockDetector::find_victim(edges, candidates)) {
       metrics_.inc(metrics_.id.dm_deadlock_victim);
@@ -312,7 +395,7 @@ void DataManager::rearm_deadlock_check() {
 // ---------------------------------------------------------------------------
 // reads
 
-void DataManager::on_read(const Envelope& env) {
+void DataManager::on_read(Envelope&& env) {
   const auto& req = std::get<ReadReq>(env.payload);
   if (locally_aborted_.count(req.txn)) {
     reply_code(env, Code::kAborted);
@@ -358,14 +441,16 @@ void DataManager::on_read(const Envelope& env) {
     if (unreadable_hook_) unreadable_hook_(req.item);
     if (cfg_.unreadable_policy == UnreadablePolicy::kBlock &&
         req.kind == TxnKind::kUser) {
-      parked_[req.item].push_back(env);
+      parked_[req.item].push_back(std::move(env));
       return;
     }
     reply_code(env, Code::kUnreadable);
     return;
   }
-  start_chain(req.txn, env, {{req.item, LockMode::kShared}},
-              [this, env]() { serve_read(env); });
+  const TxnId txn = req.txn;
+  const ItemId item = req.item;
+  start_chain(txn, std::move(env), {{item, LockMode::kShared}},
+              [this](const Envelope& e) { serve_read(e); });
 }
 
 void DataManager::serve_read(const Envelope& env) {
@@ -386,7 +471,7 @@ void DataManager::serve_read(const Envelope& env) {
 // ---------------------------------------------------------------------------
 // writes
 
-void DataManager::on_write(const Envelope& env) {
+void DataManager::on_write(Envelope&& env) {
   const auto& req = std::get<WriteReq>(env.payload);
   DM_TRACE(req.txn, "write arrives");
   if (locally_aborted_.count(req.txn)) {
@@ -412,8 +497,7 @@ void DataManager::on_write(const Envelope& env) {
     reply_code(env, c);
     return;
   }
-  std::vector<std::pair<ItemId, LockMode>> locks{
-      {req.item, LockMode::kExclusive}};
+  LockList locks{{req.item, LockMode::kExclusive}};
   // Skipping a nominally-down copy touches the per-down-site status lock in
   // shared mode: additions commute with each other but must serialize
   // against the type-1 control transaction's exclusive read-and-clear --
@@ -425,12 +509,13 @@ void DataManager::on_write(const Envelope& env) {
       cfg_.outdated_strategy == OutdatedStrategy::kMissingList;
   if (tracks_status && is_data_item(req.item)) {
     for (SiteId d : req.missed_sites) {
-      locks.emplace_back(status_item(d), LockMode::kShared);
+      locks.push_back({status_item(d), LockMode::kShared});
     }
   }
   ctx_of(req.txn, req.kind, req.coordinator); // see on_read: covers chains
-  start_chain(req.txn, env, std::move(locks), [this, env]() {
-    const auto& r = std::get<WriteReq>(env.payload);
+  const TxnId txn = req.txn;
+  start_chain(txn, std::move(env), std::move(locks), [this](const Envelope& e) {
+    const auto& r = std::get<WriteReq>(e.payload);
     TxnCtx& ctx = ctx_of(r.txn, r.kind, r.coordinator);
     StagedWrite w;
     w.value = r.value;
@@ -440,9 +525,9 @@ void DataManager::on_write(const Envelope& env) {
     w.written = r.written_sites;
     ctx.writes[r.item] = std::move(w);
     metrics_.inc(metrics_.id.dm_writes_staged);
-    Tracer::emit_under(tracer_, env.span, TraceKind::kStage, self_, r.txn,
+    Tracer::emit_under(tracer_, e.span, TraceKind::kStage, self_, r.txn,
                        r.item);
-    rpc_.respond(env, WriteResp{r.txn, r.item, Code::kOk});
+    rpc_.respond(e, WriteResp{r.txn, r.item, Code::kOk});
   });
 }
 
@@ -463,7 +548,7 @@ void DataManager::on_write(const Envelope& env) {
 // operations' results hostage); they resolve to kUnreadable and the
 // coordinator falls back to a single ReadReq, which parks under kBlock.
 
-void DataManager::on_batch(const Envelope& env) {
+void DataManager::on_batch(Envelope&& env) {
   const auto& req = std::get<BatchReq>(env.payload);
   const size_t n = req.ops.size();
   BatchResp resp;
@@ -515,16 +600,17 @@ void DataManager::on_batch(const Envelope& env) {
       cfg_.recovery_scheme == RecoveryScheme::kSpooler ||
       cfg_.outdated_strategy == OutdatedStrategy::kFailLock ||
       cfg_.outdated_strategy == OutdatedStrategy::kMissingList;
-  std::vector<std::pair<ItemId, LockMode>> locks;
-  std::vector<uint8_t> pending(n, 0); // 1 = resolve in the serve pass
+  // After this pass an operation is resolved in the serve pass exactly when
+  // its result code is still kOk.
+  LockList locks;
   auto add_lock = [&locks](ItemId item, LockMode mode) {
-    for (auto& [li, lm] : locks) {
-      if (li == item) {
-        if (mode == LockMode::kExclusive) lm = LockMode::kExclusive;
+    for (LockStep& step : locks) {
+      if (step.item == item) {
+        if (mode == LockMode::kExclusive) step.mode = LockMode::kExclusive;
         return;
       }
     }
-    locks.emplace_back(item, mode);
+    locks.push_back({item, mode});
   };
   for (size_t i = 0; i < n; ++i) {
     const BatchOp& op = req.ops[i];
@@ -538,7 +624,6 @@ void DataManager::on_batch(const Envelope& env) {
           add_lock(status_item(d), LockMode::kShared);
         }
       }
-      pending[i] = 1;
       continue;
     }
     // Read-own-write: staged by an earlier transaction chain, or by an
@@ -550,10 +635,7 @@ void DataManager::on_batch(const Envelope& env) {
             req.ops[j].item == op.item &&
             resp.results[j].code == Code::kOk;
     }
-    if (own) {
-      pending[i] = 1;
-      continue;
-    }
+    if (own) continue;
     const Copy* copy = kv().find(op.item);
     if (copy == nullptr) {
       resp.results[i].code = Code::kNotFound;
@@ -569,17 +651,16 @@ void DataManager::on_batch(const Envelope& env) {
       continue;
     }
     add_lock(op.item, LockMode::kShared);
-    pending[i] = 1;
   }
 
+  const TxnId txn = req.txn;
   start_chain(
-      req.txn, env, std::move(locks),
-      [this, env, resp = std::move(resp),
-       pending = std::move(pending)]() mutable {
-        const auto& r = std::get<BatchReq>(env.payload);
+      txn, std::move(env), std::move(locks),
+      [this, resp = std::move(resp)](const Envelope& e) mutable {
+        const auto& r = std::get<BatchReq>(e.payload);
         TxnCtx& ctx = ctx_of(r.txn, r.kind, r.coordinator);
         for (size_t i = 0; i < r.ops.size(); ++i) {
-          if (pending[i] == 0) continue;
+          if (resp.results[i].code != Code::kOk) continue;
           const BatchOp& op = r.ops[i];
           if (op.op == BatchOpKind::kWrite) {
             StagedWrite w;
@@ -590,7 +671,7 @@ void DataManager::on_batch(const Envelope& env) {
             w.written = op.written_sites;
             ctx.writes[op.item] = std::move(w);
             metrics_.inc(metrics_.id.dm_writes_staged);
-            Tracer::emit_under(tracer_, env.span, TraceKind::kStage, self_,
+            Tracer::emit_under(tracer_, e.span, TraceKind::kStage, self_,
                                r.txn, op.item);
             resp.results[i].code = Code::kOk;
             continue;
@@ -615,14 +696,14 @@ void DataManager::on_batch(const Envelope& env) {
             break;
           }
         }
-        rpc_.respond(env, std::move(resp));
+        rpc_.respond(e, std::move(resp));
       });
 }
 
 // ---------------------------------------------------------------------------
 // status table ops (type-1 control transaction, Section 5 bookkeeping)
 
-void DataManager::on_status_read(const Envelope& env) {
+void DataManager::on_status_read(Envelope&& env) {
   const auto& req = std::get<StatusReadReq>(env.payload);
   if (locally_aborted_.count(req.txn)) {
     reply_code(env, Code::kAborted);
@@ -636,10 +717,11 @@ void DataManager::on_status_read(const Envelope& env) {
   ctx_of(req.txn, TxnKind::kControlUp, req.coordinator);
   // Exclusive: the control transaction will clear right after reading, and
   // X here blocks concurrent writers from adding entries we would miss.
-  start_chain(req.txn, env,
-              {{status_item(req.recovering_site), LockMode::kExclusive}},
-              [this, env]() {
-                const auto& r = std::get<StatusReadReq>(env.payload);
+  const TxnId txn = req.txn;
+  const ItemId status_lock = status_item(req.recovering_site);
+  start_chain(txn, std::move(env), {{status_lock, LockMode::kExclusive}},
+              [this](const Envelope& e) {
+                const auto& r = std::get<StatusReadReq>(e.payload);
                 ctx_of(r.txn, TxnKind::kControlUp, r.coordinator);
                 StatusReadResp resp;
                 resp.txn = r.txn;
@@ -654,11 +736,11 @@ void DataManager::on_status_read(const Envelope& env) {
                            OutdatedStrategy::kMissingList) {
                   resp.entries = status_.ml_entries();
                 }
-                rpc_.respond(env, std::move(resp));
+                rpc_.respond(e, std::move(resp));
               });
 }
 
-void DataManager::on_status_clear(const Envelope& env) {
+void DataManager::on_status_clear(Envelope&& env) {
   const auto& req = std::get<StatusClearReq>(env.payload);
   if (locally_aborted_.count(req.txn)) {
     reply_code(env, Code::kAborted);
@@ -670,24 +752,25 @@ void DataManager::on_status_clear(const Envelope& env) {
     return;
   }
   ctx_of(req.txn, TxnKind::kControlUp, req.coordinator);
-  start_chain(req.txn, env,
-              {{status_item(req.recovering_site), LockMode::kExclusive}},
-              [this, env]() {
-                const auto& r = std::get<StatusClearReq>(env.payload);
+  const TxnId txn = req.txn;
+  const ItemId status_lock = status_item(req.recovering_site);
+  start_chain(txn, std::move(env), {{status_lock, LockMode::kExclusive}},
+              [this](const Envelope& e) {
+                const auto& r = std::get<StatusClearReq>(e.payload);
                 TxnCtx& ctx =
                     ctx_of(r.txn, TxnKind::kControlUp, r.coordinator);
                 ctx.status_clear = true;
                 ctx.clear_for = r.recovering_site;
                 ctx.clear_fail_locks = r.clear_fail_locks;
-                rpc_.respond(env, StatusClearResp{r.txn, Code::kOk});
+                rpc_.respond(e, StatusClearResp{r.txn, Code::kOk});
               });
 }
 
 // ---------------------------------------------------------------------------
 // two-phase commit, participant side
 
-void DataManager::on_prepare(const Envelope& env) {
-  const auto& req = std::get<PrepareReq>(env.payload);
+void DataManager::on_prepare(Envelope&& env) {
+  auto& req = std::get<PrepareReq>(env.payload);
   DM_TRACE(req.txn, "prepare arrives");
   TxnCtx* ctx = find_ctx(req.txn);
   if (ctx == nullptr || locally_aborted_.count(req.txn)) {
@@ -698,7 +781,7 @@ void DataManager::on_prepare(const Envelope& env) {
     rpc_.respond(env, PrepareResp{req.txn, false, {}});
     return;
   }
-  ctx->participants = req.participants;
+  ctx->participants = std::move(req.participants);
   bool forced_log = false;
   if (!ctx->prepared) {
     ctx->prepared = true;
@@ -737,7 +820,8 @@ void DataManager::on_prepare(const Envelope& env) {
     // the durable engine charges a group-commit disk write first. Read-only
     // participants skip the force (nothing was logged).
     const uint64_t epoch = boot_epoch_;
-    stable_.flush([this, env, resp = std::move(resp), epoch]() mutable {
+    stable_.flush([this, env = std::move(env), resp = std::move(resp),
+                   epoch]() mutable {
       if (epoch != boot_epoch_) return; // crashed while the flush was queued
       rpc_.respond(env, std::move(resp));
     });
@@ -1114,6 +1198,9 @@ void DataManager::crash() {
   lm_.clear();
   status_.clear();
   ctxs_.clear();
+  for (uint32_t idx = 0; idx < chain_count_; ++idx) {
+    if ((chain_at(idx).gen & 1u) != 0) free_chain(idx);
+  }
   chains_.clear();
   parked_.clear();
   locally_aborted_.clear();
@@ -1252,9 +1339,9 @@ void DataManager::unpark_reads(ItemId item) {
   parked_.erase(it);
   const uint64_t epoch = boot_epoch_;
   for (auto& env : envs) {
-    sched_.after(1, [this, env = std::move(env), epoch]() {
+    sched_.after(1, [this, env = std::move(env), epoch]() mutable {
       if (epoch != boot_epoch_) return;
-      handle_request(env);
+      handle_request(std::move(env));
     });
   }
 }

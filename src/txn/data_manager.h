@@ -33,10 +33,13 @@
 #include "common/config.h"
 #include "common/metrics.h"
 #include "common/result.h"
+#include "common/small_vec.h"
 #include "common/types.h"
+#include "common/u64_table.h"
 #include "net/rpc.h"
 #include "recovery/status_tables.h"
 #include "replication/session.h"
+#include "sim/inline_fn.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
 #include "storage/stable_storage.h"
@@ -54,8 +57,9 @@ class DataManager {
               Metrics& metrics, HistoryRecorder* recorder,
               Tracer* tracer = nullptr);
 
-  // Entry point for every request envelope addressed to this site.
-  void handle_request(const Envelope& env);
+  // Entry point for every request envelope addressed to this site. The DM
+  // owns the envelope: a request that waits for locks or parks keeps it.
+  void handle_request(Envelope&& env);
 
   // ---- local coupling with the recovery manager (same site) -------------
 
@@ -129,15 +133,38 @@ class DataManager {
     EventId activity_timer = 0; // unilateral abort of orphaned contexts
   };
 
-  // One in-flight request waiting on a chain of locks.
+  // One lock a chain needs, in acquisition order.
+  struct LockStep {
+    ItemId item = 0;
+    LockMode mode = LockMode::kShared;
+  };
+  using LockList = SmallVec<LockStep, 4>;
+  // Runs once every lock of a chain is held, with the chain's request.
+  using ChainDone = InlineFn<void(const Envelope&)>;
+  // (generation << 32) | slab index of a chain; stale once it resolves.
+  using ChainRef = uint64_t;
+  static constexpr uint32_t kNoChain = UINT32_MAX;
+
+  // One in-flight request waiting on a chain of locks. Chains live in a
+  // recycled, chunked slab (addresses stay put while a chain is live) and
+  // own their request envelope. Grant and timeout callbacks hold a
+  // ChainRef; the generation is odd while the chain is live, so a
+  // callback for a resolved chain finds nothing.
   struct Chain {
-    uint64_t id = 0;
+    uint32_t gen = 0;
+    // This transaction's live chains, oldest first.
+    uint32_t prev = kNoChain;
+    uint32_t next = kNoChain;
+    // Taken off its transaction's list by fail_chains_of, which resolves
+    // and frees it; a grant that completes it meanwhile must not free it.
+    bool detached = false;
     TxnId txn = 0;
     Envelope env;
-    std::vector<std::pair<ItemId, LockMode>> locks; // remaining
-    LockManager::RequestId rid = 0;                 // current wait, 0 if none
+    LockList locks;
+    uint32_t next_lock = 0;         // locks[next_lock..] still to acquire
+    LockManager::RequestId rid = 0; // current wait, 0 if none
     EventId timer = 0;
-    std::function<void()> on_done;
+    ChainDone on_done;
     // Grant-callback handshake. These live in the chain (NOT on the
     // acquiring stack frame): the callback may run long after
     // advance_chain() returned, when a conflicting holder releases.
@@ -153,14 +180,21 @@ class DataManager {
     // only: synchronously granted chains never touch it.
     SimTime wait_started = kNoTime;
   };
+  // A transaction's live chains: list ends in the chain slab.
+  struct ChainList {
+    uint32_t head = kNoChain;
+    uint32_t tail = kNoChain;
+  };
+  static constexpr uint32_t kChainChunkShift = 2;
+  static constexpr uint32_t kChainChunkSize = 1u << kChainChunkShift;
 
   // ---- handlers ----
-  void on_read(const Envelope& env);
-  void on_write(const Envelope& env);
-  void on_batch(const Envelope& env);
-  void on_status_read(const Envelope& env);
-  void on_status_clear(const Envelope& env);
-  void on_prepare(const Envelope& env);
+  void on_read(Envelope&& env);
+  void on_write(Envelope&& env);
+  void on_batch(Envelope&& env);
+  void on_status_read(Envelope&& env);
+  void on_status_clear(Envelope&& env);
+  void on_prepare(Envelope&& env);
   void on_commit(const Envelope& env);
   void on_abort(const Envelope& env);
   void on_outcome_query(const Envelope& env);
@@ -179,11 +213,18 @@ class DataManager {
   // Returns kOk or the rejection code.
   Code admit(TxnKind kind, SessionNum expected, bool bypass) const;
 
-  void start_chain(TxnId txn, const Envelope& env,
-                   std::vector<std::pair<ItemId, LockMode>> locks,
-                   std::function<void()> on_done);
-  void advance_chain(const std::shared_ptr<Chain>& chain);
+  void start_chain(TxnId txn, Envelope&& env, LockList locks,
+                   ChainDone on_done);
+  void advance_chain(uint32_t idx);
+  void on_lock_timeout(ChainRef ref);
   void fail_chains_of(TxnId txn, Code code);
+  Chain& chain_at(uint32_t idx) {
+    return chain_chunks_[idx >> kChainChunkShift]
+                        [idx & (kChainChunkSize - 1)];
+  }
+  Chain* find_chain(ChainRef ref);
+  void unlink_chain(uint32_t idx);
+  void free_chain(uint32_t idx);
   void schedule_deadlock_check();
   void run_deadlock_check();
   void rearm_deadlock_check();
@@ -214,13 +255,15 @@ class DataManager {
   LockManager lm_;
   StatusTable status_;
   std::unordered_map<TxnId, TxnCtx> ctxs_;
-  std::unordered_map<TxnId, std::vector<std::shared_ptr<Chain>>> chains_;
+  std::vector<std::unique_ptr<Chain[]>> chain_chunks_;
+  std::vector<uint32_t> chain_free_;
+  uint32_t chain_count_ = 0;
+  U64Table<ChainList> chains_; // txn + 1 -> its live chains
   std::map<ItemId, std::vector<Envelope>> parked_;
   // Once a transaction is aborted here, later messages for it must not
   // resurrect a partial context (reply kAborted / vote no instead).
   std::unordered_set<TxnId> locally_aborted_;
   UnreadableHook unreadable_hook_;
-  uint64_t next_chain_ = 1;
   bool deadlock_check_scheduled_ = false;
   // Wait-graph epoch (LockManager::wait_graph_epoch) at the last sweep that
   // found no cycle: while the epoch is unchanged no new wait edge appeared,

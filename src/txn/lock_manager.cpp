@@ -279,16 +279,20 @@ void LockManager::release_all(TxnId txn) {
   if (tp == nullptr) return;
   const uint32_t t = *tp;
   // Detach the whole state first: the pumps below run grant callbacks that
-  // can recursively create/destroy txn states and reallocate the slab.
-  std::vector<uint32_t> held = std::move(txn_states_[t].held);
+  // can recursively create/destroy txn states and reallocate the slab. The
+  // held list is swapped with an empty scratch list, so the txn slot keeps
+  // a buffer with capacity for its next holder and nothing is allocated.
+  std::vector<uint32_t> to_pump;
+  if (!release_scratch_.empty()) {
+    to_pump = std::move(release_scratch_.back());
+    release_scratch_.pop_back();
+  }
+  to_pump.swap(txn_states_[t].held);
   uint32_t wi = txn_states_[t].wait_head;
-  txn_states_[t].held.clear();
   txn_states_[t].wait_head = kNil;
   release_txn_state_if_idle(txn, t);
 
-  std::vector<uint32_t> to_pump;
-  to_pump.reserve(held.size() + 4);
-  for (uint32_t h : held) {
+  for (uint32_t h : to_pump) {
     ItemHead& hd = heads_[h];
     if (const int hidx = holder_index(hd, txn); hidx >= 0) {
       for (size_t i = hidx; i + 1 < hd.holders.size(); ++i) {
@@ -296,10 +300,9 @@ void LockManager::release_all(TxnId txn) {
       }
       hd.holders.pop_back();
     }
-    to_pump.push_back(h);
   }
   // Cancel waiting requests of this txn everywhere: O(own waiters), each an
-  // O(1) unlink.
+  // O(1) unlink. Their heads are pumped after the held ones.
   while (wi != kNil) {
     Waiter& w = waiters_[wi];
     const uint32_t next = w.t_next;
@@ -314,6 +317,8 @@ void LockManager::release_all(TxnId txn) {
     // all that is needed.
     if (h < heads_.size() && heads_[h].in_use) pump(h);
   }
+  to_pump.clear();
+  release_scratch_.push_back(std::move(to_pump));
 }
 
 bool LockManager::holds(TxnId txn, ItemId item) const {

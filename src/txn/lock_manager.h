@@ -36,7 +36,7 @@ enum class LockMode : uint8_t { kShared, kExclusive };
 class LockManager {
  public:
   using RequestId = uint64_t;
-  using GrantFn = InlineFn;
+  using GrantFn = InlineFn<void()>;
 
   // Queue a lock request. If grantable now, `on_grant` runs synchronously
   // and the returned id is already inactive. Re-entrant requests (same txn,
@@ -141,6 +141,10 @@ class LockManager {
   uint32_t next_gen_ = 1; // monotonic: ids never alias across reuse/clear
   size_t waiter_count_ = 0;
   uint64_t wait_epoch_ = 0;
+  // release_all() scratch lists, reused across calls so the per-commit
+  // releases do not allocate. A stack because grant callbacks can re-enter
+  // release_all(); each active call owns one entry.
+  std::vector<std::vector<uint32_t>> release_scratch_;
 };
 
 } // namespace ddbs

@@ -23,6 +23,9 @@ CoordinatorBase::CoordinatorBase(TxnId txn, TxnKind kind,
       recorder_(env.recorder),
       tracer_(env.tracer),
       started_(env.sched->now()) {
+  // A user transaction sends a few requests per phase; one buffer of this
+  // size holds its whole send history.
+  rpcs_.reserve(16);
   if (recorder_) recorder_->set_kind(txn_, kind_);
   // The ambient span at construction time becomes the parent: a copier
   // launched from a recovery episode nests under it, a user transaction
@@ -49,13 +52,6 @@ uint64_t CoordinatorBase::send_request(SiteId to, Payload payload,
       rpc_.send_request(to, std::move(payload), timeout, std::move(cb));
   rpcs_.push_back(id);
   return id;
-}
-
-void CoordinatorBase::schedule(SimTime delay, EventFn fn) {
-  timers_.push_back(sched_.after(delay, [this, fn = std::move(fn)]() mutable {
-    SpanScope scope(tracer_, span_);
-    fn();
-  }));
 }
 
 void CoordinatorBase::retire_later() {
@@ -312,7 +308,7 @@ void CoordinatorBase::run_2pc(std::function<void(bool)> k) {
                   if (--acks_pending_ == 0) retire_later();
                 });
           }
-          if (participants_.count(self_) == 0) {
+          if (!is_participant(self_)) {
             // No local participant whose apply we could wait for; the
             // decision itself is the caller's signal.
             auto cb = std::move(commit_k_);

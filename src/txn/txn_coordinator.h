@@ -7,6 +7,7 @@
 // src/recovery derive from the same base.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -15,6 +16,7 @@
 
 #include "common/config.h"
 #include "common/metrics.h"
+#include "common/small_vec.h"
 #include "common/types.h"
 #include "net/rpc.h"
 #include "replication/catalog.h"
@@ -71,8 +73,17 @@ class CoordinatorBase {
   void set_retire_fn(RetireFn f) { retire_ = std::move(f); }
 
  protected:
-  // Timer that is automatically cancelled when the coordinator dies.
-  void schedule(SimTime delay, EventFn fn);
+  // Timer that is automatically cancelled when the coordinator dies. A
+  // template so the span-scoping wrapper holds the caller's closure
+  // itself, not a type-erased one, and stays within EventFn's buffer.
+  template <typename F>
+  void schedule(SimTime delay, F fn) {
+    timers_.push_back(
+        sched_.after(delay, [this, fn = std::move(fn)]() mutable {
+          SpanScope scope(tracer_, span_);
+          fn();
+        }));
+  }
 
   // All coordinator-originated requests go through this wrapper, which
   // remembers the rpc ids so ~CoordinatorBase can cancel any still pending.
@@ -103,7 +114,18 @@ class CoordinatorBase {
                        SessionNum expected_at, std::function<void(bool)> k);
 
   // Mark a site as touched; it becomes a 2PC participant.
-  void touch(SiteId site) { participants_.insert(site); }
+  void touch(SiteId site) {
+    if (is_participant(site)) return;
+    participants_.push_back(site);
+    for (size_t i = participants_.size() - 1;
+         i > 0 && participants_[i - 1] > site; --i) {
+      std::swap(participants_[i - 1], participants_[i]);
+    }
+  }
+  bool is_participant(SiteId site) const {
+    return std::binary_search(participants_.begin(), participants_.end(),
+                              site);
+  }
 
   // Send the writes ONE DESTINATION AT A TIME in the given order. All
   // writers of the same item use ascending site order, so X-locks on one
@@ -195,7 +217,8 @@ class CoordinatorBase {
   // Construction time, for the commit-latency histogram (user txns only).
   const SimTime started_;
 
-  std::set<SiteId> participants_;
+  // Touched sites, ascending, without duplicates.
+  SmallVec<SiteId, 8> participants_;
   // Frozen NS snapshot, sparse: only the entries this transaction read.
   // An absent entry reads as session 0 (nominally down), which is what the
   // dense representation held for unread/skipped sites.

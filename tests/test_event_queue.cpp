@@ -205,6 +205,99 @@ TEST(EventQueue, CompactionPreservesOrderAndIds) {
   }
 }
 
+// The two-index layout against a reference ordered set: near pushes land
+// in the calendar window (4096 us), far ones in the heap and enter the
+// window's range as time advances, and an occasional push behind the last
+// popped time goes to the heap too. Coarse times make equal-time ties
+// across lanes common; legacy push() interleaves with push_keyed(). The
+// run advances the clock across the window many times over.
+TEST(EventQueue, CalendarMatchesReferenceOrder) {
+  using Ref = std::pair<SimTime, EventKey>;
+  constexpr SimTime kWindow = 4096;
+  for (uint64_t seed : {11u, 21u, 31u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    std::set<Ref> ref;
+    std::map<EventId, Ref> live;
+    std::vector<EventId> live_ids;
+    std::set<Ref> pushed_far; // were beyond the window when pushed
+    std::array<uint32_t, 4> lane_counters{};
+    uint32_t fifo_seq = 0;
+    SimTime now = 0;
+    Ref fired{};
+    int far_popped = 0;
+    size_t target = 64;
+    for (int step = 0; step < 120'000; ++step) {
+      if (step % 3000 == 0) target = static_cast<size_t>(rng.uniform(8, 600));
+      const int64_t op = rng.uniform(0, 99);
+      if (live.size() < target && op < 55) {
+        SimTime at;
+        const int64_t where = rng.uniform(0, 99);
+        if (where < 45) {
+          at = now + rng.uniform(0, 40) * 100; // near, many ties
+        } else if (where < 80) {
+          at = now + rng.uniform(0, kWindow - 1); // anywhere in the window
+        } else if (where < 97) {
+          at = now + kWindow + rng.uniform(0, 3 * kWindow); // far: heap
+        } else {
+          at = std::max<SimTime>(0, now - rng.uniform(0, 50)); // behind
+        }
+        EventKey key;
+        EventId id;
+        if (rng.bernoulli(0.2)) {
+          key = make_event_key(1, fifo_seq++);
+          id = q.push(at, [&fired, at, key]() { fired = {at, key}; });
+        } else {
+          const auto lane = static_cast<uint32_t>(rng.uniform(0, 3));
+          key = make_event_key(lane + 2, lane_counters[lane]++);
+          id = q.push_keyed(at, key,
+                            [&fired, at, key]() { fired = {at, key}; });
+        }
+        ASSERT_TRUE(ref.insert({at, key}).second);
+        if (at >= now + kWindow) pushed_far.insert({at, key});
+        live.emplace(id, Ref{at, key});
+        live_ids.push_back(id);
+      } else if (!live_ids.empty() && op < 75) {
+        const auto i = static_cast<size_t>(
+            rng.uniform(0, static_cast<int64_t>(live_ids.size()) - 1));
+        const EventId id = live_ids[i];
+        live_ids[i] = live_ids.back();
+        live_ids.pop_back();
+        ASSERT_TRUE(q.cancel(id));
+        ASSERT_FALSE(q.cancel(id));
+        ref.erase(live.at(id));
+        pushed_far.erase(live.at(id));
+        live.erase(id);
+      } else if (!q.empty()) {
+        ASSERT_EQ(q.next_time(), ref.begin()->first);
+        EventQueue::Fired f = q.pop();
+        ASSERT_EQ(Ref(f.time, f.key), *ref.begin());
+        f.fn();
+        ASSERT_EQ(fired, *ref.begin());
+        ASSERT_EQ(live.at(f.id), *ref.begin());
+        far_popped += static_cast<int>(pushed_far.erase(*ref.begin()));
+        ref.erase(ref.begin());
+        live.erase(f.id);
+        live_ids.erase(std::find(live_ids.begin(), live_ids.end(), f.id));
+        ASSERT_FALSE(q.cancel(f.id));
+        now = f.time;
+      }
+      ASSERT_EQ(q.size(), ref.size());
+    }
+    while (!q.empty()) {
+      EventQueue::Fired f = q.pop();
+      ASSERT_EQ(Ref(f.time, f.key), *ref.begin());
+      ref.erase(ref.begin());
+      now = f.time;
+    }
+    EXPECT_TRUE(ref.empty());
+    EXPECT_EQ(q.next_time(), kNoTime);
+    EXPECT_GT(now / kWindow, 50); // the window wrapped many times
+    EXPECT_GT(far_popped, 300); // heap events that came into range
+  }
+}
+
 // The RPC-timeout pattern: every request arms a far-deadline timeout and
 // nine responses in ten cancel it a few steps later, while message
 // deliveries keep popping. Lazy reaping alone would hold every cancelled

@@ -2,6 +2,7 @@
 
 #include "baselines/spooler.h"
 #include "recovery/status_tables.h"
+#include "replication/catalog.h"
 #include "storage/stable_storage.h"
 
 namespace ddbs {
@@ -105,6 +106,49 @@ TEST(KvStore, NsAndDataIdsCoexist) {
   kv.mark_unreadable(ns_item(0));
   kv.mark_unreadable(7);
   EXPECT_EQ(kv.unreadable_items(), (std::vector<ItemId>{7, ns_item(0)}));
+}
+
+// A store indexed by its site's catalog row answers exactly as a plain
+// one: while bootstrap fills the row in reverse (positions not yet
+// aligned), once it is full, and after an id outside the row is inserted
+// in front of the row and shifts every position.
+TEST(KvStore, CatalogIndexedFindMatchesDirectory) {
+  Config cfg;
+  cfg.n_sites = 8;
+  cfg.n_items = 400;
+  cfg.replication_degree = 3;
+  const Catalog cat = Catalog::make(cfg);
+  const SiteId site = 5;
+  const auto hosted = cat.items_at(site);
+  ASSERT_GT(hosted.size(), 50u);
+  KvStore indexed;
+  indexed.index_by(&cat, site);
+  KvStore plain;
+  auto same = [&]() {
+    for (ItemId x = 0; x < cfg.n_items; ++x) {
+      const Copy* a = indexed.find(x);
+      const Copy* b = plain.find(x);
+      ASSERT_EQ(a == nullptr, b == nullptr) << "item " << x;
+      if (a != nullptr) ASSERT_EQ(a->value, b->value) << "item " << x;
+    }
+  };
+  for (size_t i = hosted.size(); i-- > 0;) {
+    indexed.create(hosted[i], hosted[i] * 10);
+    plain.create(hosted[i], hosted[i] * 10);
+    if (i % 16 == 0) same();
+  }
+  same();
+  for (size_t i = 0; i < hosted.size(); ++i) {
+    EXPECT_EQ(cat.position_at(site, hosted[i]), static_cast<int64_t>(i));
+  }
+  ItemId outside = 0;
+  while (cat.position_at(site, outside) >= 0) ++outside;
+  ASSERT_LT(outside, hosted.back());
+  indexed.install(outside, 7, Version{1, 2});
+  plain.install(outside, 7, Version{1, 2});
+  same();
+  EXPECT_EQ(indexed.find(outside)->value, 7);
+  EXPECT_EQ(cat.position_at(site, cfg.n_items), -1);
 }
 
 TEST(VersionOrdering, LexicographicOnCounterThenWriter) {

@@ -24,6 +24,7 @@ Stdlib only -- usable straight from CTest or CI.
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -255,4 +256,13 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`ddbs_trace.py spans.json | head`): that
+        # is not an error. Point stdout at /dev/null so the interpreter's
+        # exit-time flush of what is still buffered does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = 0
+    sys.exit(rc)

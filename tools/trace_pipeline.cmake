@@ -1,6 +1,7 @@
 # Runs ddbs_sim through a crash/recover cycle with every observability
 # output on, then feeds each file to ddbs_trace.py. Fails on the first
-# non-zero exit.
+# non-zero exit. Last, pipes ddbs_trace.py into a reader that exits without
+# reading: the tool must stop quietly (status 0, no traceback).
 #
 #   cmake -DSIM=... -DPYTHON=... -DTRACE_PY=... -DOUT=dir -P trace_pipeline.cmake
 function(run)
@@ -20,3 +21,14 @@ run("${SIM}" --sites=4 --items=60 --duration-ms=2000
 run("${PYTHON}" "${TRACE_PY}" "${OUT}/report.json")
 run("${PYTHON}" "${TRACE_PY}" "${OUT}/spans.json")
 run("${PYTHON}" "${TRACE_PY}" "${OUT}/telemetry.jsonl" --tail 8)
+
+# `ddbs_trace.py spans.json | head`, with a reader that is gone before the
+# tool writes anything.
+execute_process(COMMAND "${PYTHON}" "${TRACE_PY}" "${OUT}/spans.json"
+                COMMAND "${CMAKE_COMMAND}" -E true
+                RESULTS_VARIABLE rcs ERROR_VARIABLE err)
+list(GET rcs 0 rc)
+if(NOT rc EQUAL 0 OR err MATCHES "Traceback")
+  message(FATAL_ERROR "ddbs_trace.py into a closed pipe: exit status "
+                      "${rc}\n${err}")
+endif()
